@@ -21,10 +21,9 @@ from .hawking import (
     monogamy_residuals,
     monogamy_threshold,
 )
+from .selfcheck import MONOGAMY_TOL
 from .sweep import MEASURES, SweepConfig, run_sweep, to_csv, to_json
 from .svgplot import render_lineplot
-
-MONOGAMY_TOL = 1e-12
 
 _PANEL_PAIR = {"fig1": "AB", "fig2": "ABbar", "fig3": "BBbar"}
 _CURVE_FIELDS = ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta")
@@ -54,8 +53,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    if args.omega <= 0:
-        raise ValueError(f"omega must be > 0, got {args.omega}")
     ct = critical_temperatures(args.omega)
     status = 0
     rows = []

@@ -16,17 +16,15 @@ the steering/entanglement monogamy residuals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import steering_ent, steering_entropy
 from .qstate import DenseState, TwoQubitXState, partial_trace
-from .steering_ent import BRANCH_CORNER, BRANCH_INNER, EntSteeringReport
-from .steering_entropy import EntropySteeringReport
-
-SQRT3 = np.sqrt(3.0)
+from .steering_ent import BRANCH_CORNER, BRANCH_INNER, SQRT3, EntSteeringReport
+from .steering_entropy import EntropySteeringReport, keep_above
 
 PAIRS = ("AB", "ABbar", "BBbar")
 _KEPT = {"AB": ("A", "B"), "ABbar": ("A", "Bbar"), "BBbar": ("B", "Bbar")}
@@ -56,26 +54,43 @@ class HawkingParams:
 
 @dataclass(frozen=True)
 class HawkingAmplitudes:
-    c_amp: float
-    s_amp: float
+    """(C, S) at one temperature, or as float64 columns over a grid."""
+
+    c_amp: float | np.ndarray
+    s_amp: float | np.ndarray
 
 
 #: Analytic zero-temperature limit (frozen vacuum).
 FROZEN = HawkingAmplitudes(c_amp=1.0, s_amp=0.0)
 
+_LIBM = {fn: np.frompyfunc(fn, 1, 1) for fn in (math.exp, math.sqrt, math.log2)}
+
+
+def _libm(fn, x):
+    """fn(x) for a float; for an array, the same libm call on every element.
+
+    numpy's own exp and log2 differ from libm in the last ulp on some
+    inputs, which would make columns disagree with the float path.
+    """
+    if isinstance(x, np.ndarray):
+        return _LIBM[fn](x).astype(np.float64)
+    return fn(x)
+
+
+def amplitudes_at(x) -> HawkingAmplitudes:
+    """Amplitude pair (C, S) at x = omega / T, a float or a float64 array.
+
+    Both amplitudes are computed from t = exp(-x) <= 1 so that no
+    exponential overflows; for x >> 1 the small amplitude is formed as
+    exp(-x/2) / sqrt(1 + t) and underflows gracefully.
+    """
+    root = _libm(math.sqrt, 1.0 + _libm(math.exp, -x))
+    return HawkingAmplitudes(c_amp=1.0 / root, s_amp=_libm(math.exp, -0.5 * x) / root)
+
 
 def amplitudes(p: HawkingParams) -> HawkingAmplitudes:
-    """Amplitude pair (C, S) for given (T, omega), stable for extreme ratios.
-
-    Both amplitudes are computed from t = exp(-w/T) <= 1 so that no
-    exponential overflows; for w/T >> 1 the small amplitude is formed as
-    exp(-w/(2T)) / sqrt(1 + t) and underflows gracefully.
-    """
-    x = p.omega / p.temperature
-    t = math.exp(-x)
-    c = 1.0 / math.sqrt(1.0 + t)
-    s = math.exp(-0.5 * x) / math.sqrt(1.0 + t)
-    return HawkingAmplitudes(c_amp=c, s_amp=s)
+    """Amplitude pair (C, S) for given (T, omega), stable for extreme ratios."""
+    return amplitudes_at(p.omega / p.temperature)
 
 
 def tripartite_state(a: HawkingAmplitudes) -> DenseState:
@@ -110,16 +125,17 @@ class BipartitionReport:
     concurrence: float
 
 
-def _lpair(c: float) -> float:
-    """(1+c)log2(1+c) + (1-c)log2(1-c), with 0 log 0 = 0."""
-    out = 0.0
-    for x in (1.0 + c, 1.0 - c):
-        if x > 0.0:
-            out += x * math.log2(x)
-    return out
+def _xlg(x):
+    """x log2 x with 0 log 0 = 0, elementwise through libm's log2 for arrays.
 
-
-def _xlg(x: float) -> float:
+    Deliberately not steering_entropy._xlogx: that one takes np.log2,
+    which differs from libm's log2 in the last ulp on some inputs, so
+    sharing it would change the golden bytes.
+    """
+    if isinstance(x, np.ndarray):
+        pos = x > 0.0
+        y = np.where(pos, x, 1.0)
+        return np.where(pos, y * _libm(math.log2, y), 0.0)
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
@@ -129,44 +145,51 @@ def closed_form_report(p: HawkingParams, pair: str) -> BipartitionReport:
     Bypasses the generic X-state machinery on purpose: this is one side
     of the pipeline-vs-closed-form cross-validation.
     """
-    a = amplitudes(p)
-    return closed_form_report_from_amplitudes(a, pair)
+    return closed_form_report_from_amplitudes(amplitudes(p), pair)
 
 
 def closed_form_report_from_amplitudes(a: HawkingAmplitudes, pair: str) -> BipartitionReport:
+    """The per-pair closed forms at (C, S): floats, or float64 columns.
+
+    For columns every numeric field of the report is an array, equal
+    element by element, bit for bit, to the report at the float inputs.
+    """
     c, s = a.c_amp, a.s_amp
     c2, s2 = c * c, s * s
+    xc, xs = _xlg(c2), _xlg(s2)
     if pair == "AB":
-        raw_ab = 0.25 * (2.0 * _lpair(c) + _xlg(c2) + _xlg(s2))
-        raw_ba = 0.25 * (2.0 * _lpair(c) - _xlg(1.0 + s2) + _xlg(s2))
+        lp = _xlg(1.0 + c) + _xlg(1.0 - c)
+        raw_ab = 0.25 * (2.0 * lp + xc + xs)
+        raw_ba = 0.25 * (2.0 * lp - _xlg(1.0 + s2) + xs)
         t_ab = c2 - c2 * s2 / SQRT3
         t_ba = c2 - s2 / SQRT3
         conc = c
         branch = BRANCH_CORNER
     elif pair == "ABbar":
-        raw_ab = 0.25 * (2.0 * _lpair(s) + _xlg(c2) + _xlg(s2))
-        raw_ba = 0.25 * (2.0 * _lpair(s) - _xlg(1.0 + c2) + _xlg(c2))
+        lp = _xlg(1.0 + s) + _xlg(1.0 - s)
+        raw_ab = 0.25 * (2.0 * lp + xc + xs)
+        raw_ba = 0.25 * (2.0 * lp - _xlg(1.0 + c2) + xc)
         t_ab = s2 - c2 * s2 / SQRT3
         t_ba = s2 - c2 / SQRT3
         conc = s
         branch = BRANCH_INNER
     elif pair == "BBbar":
         cs = c * s
-        raw_ab = 0.25 * (2.0 * _lpair(cs) + _xlg(s2) - _xlg(1.0 + s2))
-        raw_ba = 0.25 * (2.0 * _lpair(cs) + _xlg(c2) - _xlg(1.0 + c2))
+        lp = _xlg(1.0 + cs) + _xlg(1.0 - cs)
+        raw_ab = 0.25 * (2.0 * lp + xs - _xlg(1.0 + s2))
+        raw_ba = 0.25 * (2.0 * lp + xc - _xlg(1.0 + c2))
         t_ab = c2 * s2 - s2 / SQRT3
         t_ba = c2 * s2 - c2 / SQRT3
         conc = cs
         branch = BRANCH_CORNER
     else:
         raise ValueError(f"unknown pair: {pair!r}")
-    s_ab = steering_entropy.steerability_from_sum(4.0 * raw_ab + 2.0)
-    s_ba = steering_entropy.steerability_from_sum(4.0 * raw_ba + 2.0)
-    entropy = EntropySteeringReport(
-        i_ab=4.0 * raw_ab + 2.0, i_ba=4.0 * raw_ba + 2.0,
-        s_ab=s_ab, s_ba=s_ba, delta=abs(s_ab - s_ba),
-    )
-    t_ab, t_ba = max(0.0, t_ab), max(0.0, t_ba)
+    i_ab, i_ba = 4.0 * raw_ab + 2.0, 4.0 * raw_ba + 2.0
+    s_ab = steering_entropy.steerability_from_sum(i_ab)
+    s_ba = steering_entropy.steerability_from_sum(i_ba)
+    entropy = EntropySteeringReport(i_ab=i_ab, i_ba=i_ba, s_ab=s_ab, s_ba=s_ba,
+                                    delta=abs(s_ab - s_ba))
+    t_ab, t_ba = keep_above(t_ab, 0.0), keep_above(t_ba, 0.0)
     ent = EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba),
                             branch_ab=branch, branch_ba=branch)
     return BipartitionReport(pair=pair, entropy=entropy, ent=ent, concurrence=conc)
@@ -231,60 +254,106 @@ class BracketError(RuntimeError):
     """No sign change found on the scan grid."""
 
 
-def _scan_grid(omega: float, n: int = 600) -> np.ndarray:
-    return np.geomspace(1e-3 * omega, 1e4 * omega, n)
+# scipy.optimize.bisect's relative tolerance and scipy.optimize.golden's
+# rounding of the golden-ratio conjugate 2 / (1 + sqrt 5): the finders
+# below take exactly scipy's steps, so they return its results bit for bit.
+_BISECT_RTOL = 4.0 * sys.float_info.epsilon
+_GOLDEN_R = 0.61803399
 
 
-def _find_birth(f, omega: float) -> float:
+def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f in [a, b], where f(a) = fa and f(b) = fb differ in sign."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise BracketError(f"bisection did not converge in 100 steps in [{a}, {b}]")
+
+
+def _golden_max(f, xa: float, xb: float, xc: float, tol: float) -> float:
+    """Golden-section search for the maximum of f bracketed by xa < xb < xc."""
+    gc = 1.0 - _GOLDEN_R
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + gc * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + gc * x0
+            f2, f1 = f1, f(x1)
+    return x1 if f1 > f2 else x2
+
+
+def _find_birth(f, grid: np.ndarray, column: np.ndarray, omega: float) -> float:
     """Smallest T where f (a clamped steerability) crosses BIRTH_EPS."""
-    grid = _scan_grid(omega)
-    vals = np.array([f(t) for t in grid]) - BIRTH_EPS
+    vals = column - BIRTH_EPS
     idx = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
     if idx.size == 0:
         raise BracketError(f"bracket failure: no birth in [1e-3, 1e4] * omega={omega}")
     i = idx[0]
-    return optimize.bisect(lambda t: f(t) - BIRTH_EPS, grid[i], grid[i + 1],
-                           xtol=1e-12 * omega)
+    return _bisect(lambda t: f(t) - BIRTH_EPS, float(grid[i]), float(grid[i + 1]),
+                   vals[i], vals[i + 1], xtol=1e-12 * omega)
 
 
-def _find_death(f, omega: float) -> float:
+def _find_death(f, grid: np.ndarray, column: np.ndarray, omega: float) -> float:
     """Largest T where f crosses BIRTH_EPS from above."""
-    grid = _scan_grid(omega)
-    vals = np.array([f(t) for t in grid]) - BIRTH_EPS
+    vals = column - BIRTH_EPS
     idx = np.nonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))[0]
     if idx.size == 0:
         raise BracketError(f"bracket failure: no death in [1e-3, 1e4] * omega={omega}")
     i = idx[-1]
-    return optimize.bisect(lambda t: f(t) - BIRTH_EPS, grid[i], grid[i + 1],
-                           xtol=1e-12 * omega)
+    return _bisect(lambda t: f(t) - BIRTH_EPS, float(grid[i]), float(grid[i + 1]),
+                   vals[i], vals[i + 1], xtol=1e-12 * omega)
 
 
-def _find_peak(f, omega: float) -> float:
+def _find_peak(f, grid: np.ndarray, column: np.ndarray, omega: float) -> float:
     """Interior maximum of f via golden-section search."""
-    grid = _scan_grid(omega)
-    vals = np.array([f(t) for t in grid])
-    i = int(np.argmax(vals))
+    i = int(np.argmax(column))
     if i == 0 or i == len(grid) - 1:
         raise BracketError(f"bracket failure: peak not interior for omega={omega}")
-    return optimize.golden(lambda t: -f(t), brack=(grid[i - 1], grid[i], grid[i + 1]),
-                           tol=1e-10)
+    return _golden_max(f, *(float(t) for t in grid[i - 1:i + 2]), tol=1e-10)
+
+
+def _measure(rep: BipartitionReport, attr: str):
+    return getattr(rep.entropy if attr.startswith("s_") else rep.ent, attr)
 
 
 def critical_temperatures(omega: float) -> CriticalTemperatures:
-    """All five critical temperatures, closed form and numeric side by side."""
-    if not (omega > 0.0):
-        raise ValueError(f"omega must be > 0, got {omega}")
+    """All five critical temperatures, closed form and numeric side by side.
 
-    def field(pair, attr):
+    The kernel runs once per pair over a 600-point grid in
+    [1e-3, 1e4] * omega; each finder takes its bracket from those
+    columns and refines it with the kernel at single temperatures.
+    """
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
+    grid = np.geomspace(1e-3 * omega, 1e4 * omega, 600)
+    cols = amplitudes_at(omega / grid)
+    reports = {pair: closed_form_report_from_amplitudes(cols, pair)
+               for pair in ("ABbar", "BBbar")}
+
+    def point(name, closed, finder, pair, attr):
         def f(t):
-            rep = closed_form_report(HawkingParams(t, omega), pair)
-            obj = rep.entropy if attr.startswith("s_") else rep.ent
-            return getattr(obj, attr)
-        return f
+            return _measure(closed_form_report(HawkingParams(t, omega), pair), attr)
 
-    def point(name, closed, finder, f):
         try:
-            numeric = finder(f, omega)
+            numeric = finder(f, grid, _measure(reports[pair], attr), omega)
         except BracketError as exc:
             return CriticalPoint(name=name, closed_form=closed, numeric=math.nan,
                                  discrepancy=None, error=str(exc))
@@ -297,13 +366,13 @@ def critical_temperatures(omega: float) -> CriticalTemperatures:
     t_dea = -omega / math.log(math.sqrt(3.0) - 1.0)
     return CriticalTemperatures(
         t_birth_entropy_a_to_abar=point(
-            "t_birth_entropy_a_to_abar", None, _find_birth, field("ABbar", "s_ab")),
+            "t_birth_entropy_a_to_abar", None, _find_birth, "ABbar", "s_ab"),
         t_birth_entropy_abar_to_a=point(
-            "t_birth_entropy_abar_to_a", None, _find_birth, field("ABbar", "s_ba")),
+            "t_birth_entropy_abar_to_a", None, _find_birth, "ABbar", "s_ba"),
         t_birth_ent_abar_to_a=point(
-            "t_birth_ent_abar_to_a", t_ent_birth, _find_birth, field("ABbar", "t_ba")),
-        t_peak_bbbar=point("t_peak_bbbar", t_peak, _find_peak, field("BBbar", "t_ab")),
-        t_death_bbbar=point("t_death_bbbar", t_dea, _find_death, field("BBbar", "t_ab")),
+            "t_birth_ent_abar_to_a", t_ent_birth, _find_birth, "ABbar", "t_ba"),
+        t_peak_bbbar=point("t_peak_bbbar", t_peak, _find_peak, "BBbar", "t_ab"),
+        t_death_bbbar=point("t_death_bbbar", t_dea, _find_death, "BBbar", "t_ab"),
     )
 
 

@@ -163,14 +163,20 @@ def entropy_sum_from_oracle(d: DenseState, direction: str = A_TO_B) -> float:
 STEER_FLUSH = 1e-14
 
 
-def steerability_from_sum(i: float) -> float:
-    """Normalized steerability max{0, (I - 2) / (I_max - 2)}.
+def keep_above(x, floor: float):
+    """x where x > floor, else 0.0 (NaN included); elementwise for arrays."""
+    if isinstance(x, np.ndarray):
+        return np.where(x > floor, x, 0.0)
+    return x if x > floor else 0.0
+
+
+def steerability_from_sum(i):
+    """Normalized steerability max{0, (I - 2) / (I_max - 2)}, elementwise for arrays.
 
     Sums that analytically sit on the bound I = 2 can come out a few
     ulps above it; anything below STEER_FLUSH is clamped to exact zero.
     """
-    s = (i - 2.0) / (I_MAX - 2.0)
-    return s if s > STEER_FLUSH else 0.0
+    return keep_above((i - 2.0) / (I_MAX - 2.0), STEER_FLUSH)
 
 
 def steerability_entropy(b: BlochXCoefficients | TwoQubitXState) -> EntropySteeringReport:

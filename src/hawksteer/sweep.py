@@ -11,8 +11,6 @@ are byte-identical.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +28,6 @@ _MEASURE_FIELDS = {
     "entropy": ("s_ab", "s_ba", "s_delta"),
     "ent": ("t_ab", "t_ba", "t_delta"),
 }
-
-THREADS_ENV = "HAWKSTEER_THREADS"
 
 
 @dataclass(frozen=True)
@@ -106,25 +102,9 @@ def _record(cfg: SweepConfig, t: float) -> dict[str, float | None]:
     return rec
 
 
-def thread_count() -> int:
-    """Worker cap from HAWKSTEER_THREADS; 0 or unset means auto."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    n = int(raw)
-    if n < 0:
-        raise ValueError(f"{THREADS_ENV} must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
-    """Evaluate every grid point; output order always follows the grid."""
-    temps = cfg.temperatures()
-    workers = thread_count()
-    if workers <= 1 or len(temps) < 4:
-        return [_record(cfg, t) for t in temps]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: _record(cfg, t), temps))
+    """Evaluate every grid point, in grid order."""
+    return [_record(cfg, t) for t in cfg.temperatures()]
 
 
 def _fmt(v: float | None) -> str:

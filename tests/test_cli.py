@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ GOLDEN_SWEEP = [
     "--steps", "50", "--grid", "linear", "--pairs", "AB,ABbar,BBbar",
     "--measures", "both",
 ]
+GOLDEN_CRITICAL_OMEGAS = ("1e-3", "0.37", "1", "2", "7.5", "1e3")
 
 
 def run_cli(args, env_extra=None):
@@ -117,8 +119,22 @@ class TestCritical:
         assert any("t_peak_bbbar" in line for line in lines)
 
     def test_rejects_bad_omega(self, capsys):
-        assert main(["critical", "--omega", "-1"]) == 2
-        assert "omega" in capsys.readouterr().err
+        for omega in ("-1", "inf", "nan"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning fails the call
+                assert main(["critical", "--omega", omega]) == 2
+            assert "omega" in capsys.readouterr().err, omega
+
+    def test_matches_golden(self, tmp_path):
+        # Concatenated CSV outputs pinned from the scipy-based finders, so
+        # the stdlib bisection and golden-section search must replicate
+        # scipy's steps exactly.
+        text = b""
+        for omega in GOLDEN_CRITICAL_OMEGAS:
+            out = tmp_path / f"c{omega}.csv"
+            assert main(["critical", "--omega", omega, "-o", str(out)]) == 0
+            text += out.read_bytes()
+        assert text == (DATA / "golden_critical.csv").read_bytes()
 
 
 class TestMonogamy:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawksteer.hawking import (
     FROZEN,
@@ -9,6 +11,7 @@ from hawksteer.hawking import (
     CriticalTemperatures,
     HawkingParams,
     amplitudes,
+    amplitudes_at,
     closed_form_report,
     closed_form_report_from_amplitudes,
     critical_temperatures,
@@ -98,6 +101,34 @@ class TestClosedFormVsPipeline:
             pipeline_report(HawkingParams(1.0, 1.0), "AA")
 
 
+def report_fields(rep):
+    e, t = rep.entropy, rep.ent
+    return (e.i_ab, e.i_ba, e.s_ab, e.s_ba, e.delta, t.t_ab, t.t_ba, t.delta,
+            rep.concurrence)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestColumnarKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=40))
+    def test_columns_equal_float_kernel_bitwise(self, log_ratios):
+        ratios = [10.0 ** u for u in log_ratios]  # T / omega, log-uniform
+        cols = amplitudes_at(1.0 / np.array(ratios))
+        amps = [amplitudes(HawkingParams(r, 1.0)) for r in ratios]
+        assert np.array_equal(bits(cols.c_amp), bits([a.c_amp for a in amps]))
+        assert np.array_equal(bits(cols.s_amp), bits([a.s_amp for a in amps]))
+        for pair in PAIRS:
+            col = closed_form_report_from_amplitudes(cols, pair)
+            rows = [closed_form_report_from_amplitudes(a, pair) for a in amps]
+            assert np.array_equal(bits(np.array(report_fields(col)).T),
+                                  bits([report_fields(r) for r in rows])), pair
+            assert {(r.ent.branch_ab, r.ent.branch_ba) for r in rows} == {
+                (col.ent.branch_ab, col.ent.branch_ba)}
+
+
 @pytest.fixture(scope="module")
 def crit() -> CriticalTemperatures:
     return critical_temperatures(1.0)
@@ -136,8 +167,9 @@ class TestCriticalTemperatures:
             assert p2.numeric == pytest.approx(2.0 * p1.numeric, rel=1e-9)
 
     def test_rejects_bad_omega(self):
-        with pytest.raises(ValueError, match="omega"):
-            critical_temperatures(-1.0)
+        for omega in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="omega"):
+                critical_temperatures(omega)
 
 
 class TestMonogamy:
