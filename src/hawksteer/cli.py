@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 
@@ -22,7 +21,7 @@ from .hawking import (
     monogamy_threshold,
 )
 from .selfcheck import MONOGAMY_TOL
-from .sweep import MEASURES, SweepConfig, run_sweep, to_csv, to_json
+from .sweep import MEASURES, SweepConfig, render_table, run_sweep, to_csv, to_json
 from .svgplot import render_lineplot
 
 _PANEL_PAIR = {"fig1": "AB", "fig2": "ABbar", "fig3": "BBbar"}
@@ -35,10 +34,6 @@ def _write_output(text: str, path: str | None):
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-
-
-def _fmt_opt(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
 
 
 def cmd_sweep(args) -> int:
@@ -66,29 +61,15 @@ def cmd_critical(args) -> int:
             "numeric": None if math.isnan(pt.numeric) else pt.numeric,
             "discrepancy": pt.discrepancy,
         })
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["name,closed_form,numeric,discrepancy"]
-        for r in rows:
-            lines.append(",".join([r["name"], _fmt_opt(r["closed_form"]),
-                                   _fmt_opt(r["numeric"]), _fmt_opt(r["discrepancy"])]))
-        text = "\n".join(lines) + "\n"
+    text = render_table(rows, ["name", "closed_form", "numeric", "discrepancy"], args.format)
     _write_output(text, args.output)
     return status
 
 
 def cmd_monogamy(args) -> int:
-    if args.omega <= 0:
-        raise ValueError(f"omega must be > 0, got {args.omega}")
-    temps = [float(v) for v in args.t_values.split(",")]
-    for t in temps:
-        if t <= 0:
-            raise ValueError(f"temperature must be > 0, got {t}")
-    na = "n/a (T <= omega/ln(sqrt(3)))"
     threshold = monogamy_threshold(args.omega)
     rows = []
-    for t in temps:
+    for t in map(float, args.t_values.split(",")):
         res = monogamy_residuals(HawkingParams(t, args.omega))
         ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
         rows.append({
@@ -97,18 +78,8 @@ def cmd_monogamy(args) -> int:
             "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,
             "status": "pass" if ok else "fail",
         })
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["temperature,r1,r2,r3,r4,status"]
-        for r in rows:
-            cells = [repr(float(r["temperature"])), repr(float(r["r1"])),
-                     repr(float(r["r2"])),
-                     na if r["r3"] is None else repr(float(r["r3"])),
-                     na if r["r4"] is None else repr(float(r["r4"])),
-                     r["status"]]
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+    text = render_table(rows, ["temperature", "r1", "r2", "r3", "r4", "status"],
+                        args.format, missing="n/a (T <= omega/ln(sqrt(3)))")
     _write_output(text, args.output)
     return 0 if all(r["status"] == "pass" for r in rows) else 1
 

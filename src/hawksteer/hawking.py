@@ -33,6 +33,12 @@ _KEPT = {"AB": ("A", "B"), "ABbar": ("A", "Bbar"), "BBbar": ("B", "Bbar")}
 BIRTH_EPS = 1e-14
 
 
+def require_positive(name: str, v: float) -> None:
+    """Raise ValueError naming `name` unless v is finite and > 0 (NaN fails too)."""
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
 @dataclass(frozen=True)
 class HawkingParams:
     """Hawking temperature and mode frequency, natural units (hbar=G=c=k=1)."""
@@ -41,10 +47,8 @@ class HawkingParams:
     omega: float
 
     def __post_init__(self):
-        if not (self.temperature > 0.0):
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if not (self.omega > 0.0):
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        require_positive("temperature", self.temperature)
+        require_positive("omega", self.omega)
 
     @property
     def mass(self) -> float:
@@ -89,8 +93,12 @@ def amplitudes_at(x) -> HawkingAmplitudes:
 
 
 def amplitudes(p: HawkingParams) -> HawkingAmplitudes:
-    """Amplitude pair (C, S) for given (T, omega), stable for extreme ratios."""
-    return amplitudes_at(p.omega / p.temperature)
+    """Amplitude pair (C, S) for given (T, omega), stable for extreme ratios.
+
+    x = omega / T is divided as Python floats: for a tiny np.float64 T
+    numpy would warn on the overflow to x = inf, which is the frozen limit.
+    """
+    return amplitudes_at(float(p.omega) / float(p.temperature))
 
 
 def tripartite_state(a: HawkingAmplitudes) -> DenseState:
@@ -201,15 +209,9 @@ def pipeline_report(p: HawkingParams, pair: str) -> BipartitionReport:
     Must agree with closed_form_report field by field; the test suite
     enforces 1e-10 on a temperature grid.
     """
-    a = amplitudes(p)
-    return pipeline_report_from_amplitudes(a, pair)
-
-
-def pipeline_report_from_amplitudes(a: HawkingAmplitudes, pair: str) -> BipartitionReport:
     if pair not in PAIRS:
         raise ValueError(f"unknown pair: {pair!r}")
-    rho = tripartite_state(a)
-    reduced = partial_trace(rho, _KEPT[pair])
+    reduced = partial_trace(tripartite_state(amplitudes(p)), _KEPT[pair])
     return BipartitionReport(
         pair=pair,
         entropy=steering_entropy.steerability_entropy(reduced),
@@ -341,8 +343,7 @@ def critical_temperatures(omega: float) -> CriticalTemperatures:
     [1e-3, 1e4] * omega; each finder takes its bracket from those
     columns and refines it with the kernel at single temperatures.
     """
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be finite and > 0, got {omega}")
+    require_positive("omega", omega)
     grid = np.geomspace(1e-3 * omega, 1e4 * omega, 600)
     cols = amplitudes_at(omega / grid)
     reports = {pair: closed_form_report_from_amplitudes(cols, pair)

@@ -13,9 +13,11 @@ from . import steering_ent, steering_entropy
 from .hawking import (
     PAIRS,
     HawkingParams,
+    amplitudes,
     closed_form_report,
     monogamy_residuals,
     pipeline_report,
+    reduced_xstate,
 )
 from .qstate import TwoQubitXState, embed_dense, bloch_coefficients
 
@@ -46,8 +48,6 @@ def grid_temperatures(n: int = 200) -> np.ndarray:
 
 def reduced_state_population(n_grid: int = 200) -> list[TwoQubitXState]:
     """The three reduced-state families sampled on the temperature grid."""
-    from .hawking import amplitudes, reduced_xstate
-
     states = []
     for t in grid_temperatures(n_grid):
         a = amplitudes(HawkingParams(t, 1.0))

@@ -30,7 +30,7 @@ from .qstate import (
     DenseState,
     TwoQubitXState,
     bloch_coefficients,
-    require_valid,
+    embed_dense,
 )
 
 I_MAX = 6.0
@@ -139,8 +139,6 @@ def oracle_affine_calibration() -> tuple[float, float]:
     Fixed by evaluating both quantities on the Bell state and the
     maximally mixed state: closed = slope * oracle + intercept.
     """
-    from .qstate import embed_dense
-
     bell = TwoQubitXState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
     mixed = TwoQubitXState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
     pts = []
@@ -182,7 +180,7 @@ def steerability_from_sum(i):
 def steerability_entropy(b: BlochXCoefficients | TwoQubitXState) -> EntropySteeringReport:
     """Directional steerabilities and steering asymmetry for an X-state."""
     if isinstance(b, TwoQubitXState):
-        b = bloch_coefficients(require_valid(b))
+        b = bloch_coefficients(b)
     i_ab = entropy_sum_closed_form(b, A_TO_B)
     i_ba = entropy_sum_closed_form(b, B_TO_A)
     s_ab = steerability_from_sum(i_ab)

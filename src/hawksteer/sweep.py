@@ -18,16 +18,18 @@ import numpy as np
 from .hawking import (
     FROZEN,
     PAIRS,
+    BipartitionReport,
     HawkingParams,
     amplitudes,
     closed_form_report_from_amplitudes,
+    require_positive,
 )
 
 MEASURES = ("entropy", "ent", "both")
-_MEASURE_FIELDS = {
-    "entropy": ("s_ab", "s_ba", "s_delta"),
-    "ent": ("t_ab", "t_ba", "t_delta"),
-}
+# Per-pair fields: the s_* belong to the "entropy" measure, the t_* to "ent";
+# concurrence is written under either.
+_PAIR_FIELDS = ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta", "concurrence")
+_DESELECTED_PREFIX = {"entropy": "t_", "ent": "s_"}
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class SweepConfig:
     measures: str = "both"
 
     def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        require_positive("omega", self.omega)
+        require_positive("t_max", self.t_max)
         if not (self.t_min < self.t_max):
             raise ValueError(f"need t_min < t_max, got {self.t_min} >= {self.t_max}")
         if self.steps < 2:
@@ -72,54 +74,52 @@ class SweepConfig:
 def columns(cfg: SweepConfig) -> list[str]:
     cols = ["t_over_omega", "c_sq", "s_sq"]
     for pair in cfg.ordered_pairs:
-        cols += [f"{pair}_{f}" for f in
-                 ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta", "concurrence")]
+        cols += [f"{pair}_{f}" for f in _PAIR_FIELDS]
     return cols
 
 
-def _record(cfg: SweepConfig, t: float) -> dict[str, float | None]:
-    a = FROZEN if t == 0.0 else amplitudes(HawkingParams(t, cfg.omega))
-    rec: dict[str, float | None] = {
-        "t_over_omega": t / cfg.omega,
-        "c_sq": a.c_amp ** 2,
-        "s_sq": a.s_amp ** 2,
-    }
-    wanted = []
-    if cfg.measures in ("entropy", "both"):
-        wanted += _MEASURE_FIELDS["entropy"]
-    if cfg.measures in ("ent", "both"):
-        wanted += _MEASURE_FIELDS["ent"]
-    for pair in cfg.ordered_pairs:
-        rep = closed_form_report_from_amplitudes(a, pair)
-        values = {
-            "s_ab": rep.entropy.s_ab, "s_ba": rep.entropy.s_ba,
-            "s_delta": rep.entropy.delta,
-            "t_ab": rep.ent.t_ab, "t_ba": rep.ent.t_ba, "t_delta": rep.ent.delta,
-        }
-        for f in ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta"):
-            rec[f"{pair}_{f}"] = values[f] if f in wanted else None
-        rec[f"{pair}_concurrence"] = rep.concurrence
-    return rec
+def _pair_values(rep: BipartitionReport) -> tuple[float, ...]:
+    """The report's values in _PAIR_FIELDS order."""
+    e, t = rep.entropy, rep.ent
+    return (e.s_ab, e.s_ba, e.delta, t.t_ab, t.t_ba, t.delta, rep.concurrence)
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
     """Evaluate every grid point, in grid order."""
-    return [_record(cfg, t) for t in cfg.temperatures()]
+    cols, pairs = columns(cfg), cfg.ordered_pairs
+    skip = _DESELECTED_PREFIX.get(cfg.measures)
+    kept = [skip is None or not f.startswith(skip) for f in _PAIR_FIELDS]
+
+    def record(t: float) -> dict[str, float | None]:
+        a = FROZEN if t == 0.0 else amplitudes(HawkingParams(t, cfg.omega))
+        values = [t / cfg.omega, a.c_amp ** 2, a.s_amp ** 2]
+        for pair in pairs:
+            vals = _pair_values(closed_form_report_from_amplitudes(a, pair))
+            values += [v if k else None for v, k in zip(vals, kept)]
+        return dict(zip(cols, values))
+
+    return [record(t) for t in cfg.temperatures()]
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
+def render_table(rows: list[dict], cols: list[str], fmt: str, missing: str = "") -> str:
+    """Rows as CSV over `cols` (fmt "csv"), or as a JSON list of the rows as given.
 
-
-def to_csv(cfg: SweepConfig, records: list[dict[str, float | None]]) -> str:
-    cols = columns(cfg)
+    A CSV cell is a string as it is, `missing` for None, and otherwise
+    repr(float(v)), the shortest decimal that reads back bit for bit.
+    """
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
     lines = [",".join(cols)]
-    for rec in records:
-        lines.append(",".join(_fmt(rec[c]) for c in cols))
+    for row in rows:
+        lines.append(",".join([
+            missing if (v := row[c]) is None else v if type(v) is str else repr(float(v))
+            for c in cols]))
     return "\n".join(lines) + "\n"
 
 
+def to_csv(cfg: SweepConfig, records: list[dict[str, float | None]]) -> str:
+    return render_table(records, columns(cfg), "csv")
+
+
 def to_json(cfg: SweepConfig, records: list[dict[str, float | None]]) -> str:
-    cols = columns(cfg)
-    out = [{c: rec[c] for c in cols} for rec in records]
-    return json.dumps(out, indent=2) + "\n"
+    return render_table(records, columns(cfg), "json")

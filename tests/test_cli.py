@@ -21,7 +21,8 @@ GOLDEN_CRITICAL_OMEGAS = ("1e-3", "0.37", "1", "2", "7.5", "1e3")
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
+    # A numpy warning leaked by the child process fails the test too.
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hawksteer", *args],
@@ -96,6 +97,37 @@ class TestSweep:
         assert main(["sweep", "--t-min", "2", "--t-max", "1",
                      "--steps", "5"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestBoundaries:
+    def test_rejects_non_finite_parameters(self, capsys):
+        for argv, field in (
+            (["sweep", "--omega", "inf", "--t-min", "0.1", "--t-max", "1",
+              "--steps", "3"], "omega"),
+            (["sweep", "--t-min", "0.1", "--t-max", "inf", "--steps", "3"], "t_max"),
+            (["sweep", "--t-min", "0.1", "--t-max", "nan", "--steps", "3"], "t_max"),
+            (["monogamy", "--t-values", "inf"], "temperature"),
+            (["monogamy", "--omega", "inf", "--t-values", "1"], "omega"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning fails the call
+                assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert field in captured.err, argv
+
+    def test_subnormal_temperature_gives_frozen_limit(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--grid", "log", "--t-min", "1e-320",
+                         "--t-max", "1", "--steps", "2"]) == 0
+        tiny = list(csv.DictReader(capsys.readouterr().out.splitlines()))[0]
+        # The first row of a linear grid from T = 0 is the frozen limit.
+        assert main(["sweep", "--t-min", "0", "--t-max", "1", "--steps", "2"]) == 0
+        frozen = list(csv.DictReader(capsys.readouterr().out.splitlines()))[0]
+        assert float(tiny.pop("t_over_omega")) == 1e-320
+        assert frozen.pop("t_over_omega") == "0.0"
+        assert tiny == frozen
 
 
 class TestCritical:

@@ -51,10 +51,11 @@ class TestAmplitudes:
         assert amplitudes(HawkingParams(2.0, 1.0)) == amplitudes(HawkingParams(6.0, 3.0))
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="temperature"):
-            HawkingParams(0.0, 1.0)
-        with pytest.raises(ValueError, match="omega"):
-            HawkingParams(1.0, -1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="temperature"):
+                HawkingParams(bad, 1.0)
+            with pytest.raises(ValueError, match="omega"):
+                HawkingParams(1.0, bad)
 
     def test_mass_relation(self):
         p = HawkingParams(0.5, 1.0)
@@ -127,6 +128,20 @@ class TestColumnarKernel:
                                   bits([report_fields(r) for r in rows])), pair
             assert {(r.ent.branch_ab, r.ent.branch_ba) for r in rows} == {
                 (col.ent.branch_ab, col.ent.branch_ba)}
+
+
+class TestExtremeRatios:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-320.0, 300.0))
+    def test_fields_finite_and_in_range(self, log_ratio):
+        # T / omega from subnormal to 1e300; T as np.float64, as sweep grids give it.
+        p = HawkingParams(np.float64(10.0 ** log_ratio), 1.0)
+        for pair in PAIRS:
+            rep = closed_form_report(p, pair)
+            e, t = rep.entropy, rep.ent
+            assert math.isfinite(e.i_ab) and math.isfinite(e.i_ba), pair
+            for v in (e.s_ab, e.s_ba, e.delta, t.t_ab, t.t_ba, t.delta, rep.concurrence):
+                assert 0.0 <= v <= 1.0, (pair, v)
 
 
 @pytest.fixture(scope="module")
