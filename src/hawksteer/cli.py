@@ -69,7 +69,11 @@ def cmd_critical(args) -> int:
 def cmd_monogamy(args) -> int:
     threshold = monogamy_threshold(args.omega)
     rows = []
-    for t in map(float, args.t_values.split(",")):
+    for entry in args.t_values.split(","):
+        try:
+            t = float(entry)
+        except ValueError:
+            raise ValueError(f"--t-values entry {entry!r} is not a number") from None
         res = monogamy_residuals(HawkingParams(t, args.omega))
         ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
         rows.append({
@@ -93,15 +97,23 @@ def cmd_plot(args) -> int:
     needed = [f"{pair}_{f}" for f in _CURVE_FIELDS]
     if not any(col in fieldnames for col in needed):
         raise ValueError(f"missing columns for pair {pair} in {args.sweep_csv}")
-    x = [float(r["t_over_omega"]) for r in rows]
+    if "t_over_omega" not in fieldnames:
+        raise ValueError(f"missing column t_over_omega in {args.sweep_csv}")
     curves = []
-    for field, col in zip(_CURVE_FIELDS, needed):
-        if col not in fieldnames:
-            continue
-        cells = [r[col] for r in rows]
-        if any(c == "" for c in cells):
-            continue  # measure not selected in the sweep
-        curves.append((field, [float(c) for c in cells]))
+    try:
+        x = [float(r["t_over_omega"]) for r in rows]
+        for field, col in zip(_CURVE_FIELDS, needed):
+            if col not in fieldnames:
+                continue
+            cells = [r[col] for r in rows]
+            if any(c == "" for c in cells):
+                continue  # measure not selected in the sweep
+            curves.append((field, [float(c) for c in cells]))
+    except TypeError:  # float(None): csv.DictReader fills a short row with None
+        i, row = next((i, r) for i, r in enumerate(rows, 1) if None in r.values())
+        cells = sum(v is not None for v in row.values())
+        raise ValueError(f"data row {i} of {args.sweep_csv} has {cells} cells, "
+                         f"the header has {len(fieldnames)}") from None
     if not curves:
         raise ValueError(f"no populated curves for pair {pair} in {args.sweep_csv}")
     svg = render_lineplot(x, curves, xlabel="T/ω", ylabel="steerability",

@@ -15,6 +15,7 @@ the steering/entanglement monogamy residuals.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -101,13 +102,23 @@ def amplitudes(p: HawkingParams) -> HawkingAmplitudes:
     return amplitudes_at(float(p.omega) / float(p.temperature))
 
 
+# Callers ask for the three pairs at one temperature back to back, so a few
+# remembered states serve them; the bound keeps a long temperature grid
+# from holding more matrices than that.
+@functools.lru_cache(maxsize=8)
 def tripartite_state(a: HawkingAmplitudes) -> DenseState:
-    """Pure three-mode density matrix (1/2) v v^T with v = C|000> + S|011> + |110>."""
+    """Pure three-mode density matrix (1/2) v v^T with v = C|000> + S|011> + |110>.
+
+    Remembered per (C, S) for the last few amplitude pairs; the matrix is
+    shared between callers and therefore read-only.
+    """
     v = np.zeros(8)
     v[0b000] = a.c_amp
     v[0b011] = a.s_amp
     v[0b110] = 1.0
-    return DenseState(np.outer(v, v) / 2.0)
+    d = DenseState(np.outer(v, v) / 2.0)
+    d.matrix.flags.writeable = False
+    return d
 
 
 def reduced_xstate(a: HawkingAmplitudes, pair: str) -> TwoQubitXState:

@@ -25,6 +25,9 @@ XPATTERN_TOL = 1e-12
 
 MODES = ("A", "B", "Bbar")
 
+# Entries of a 4x4 matrix off the X pattern (diagonal and anti-diagonal).
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
 
 class InvalidStateError(ValueError):
     """Raised when a state fails its structural invariants."""
@@ -87,7 +90,8 @@ class DenseState:
             raise InvalidStateError(f"invalid input state: shape {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise InvalidStateError("invalid input state: not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        tr = np.trace(m)
+        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
             raise InvalidStateError("invalid input state: trace != 1")
         if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
             raise InvalidStateError("invalid input state: negative eigenvalue")
@@ -166,10 +170,7 @@ def extract_xstate(d: DenseState) -> TwoQubitXState:
     m = d.matrix
     if d.dim != 4:
         raise InvalidStateError("invalid input state: dim != 4")
-    mask = np.ones((4, 4), dtype=bool)
-    for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
-        mask[i, j] = False
-    worst = np.max(np.abs(m[mask])) if mask.any() else 0.0
+    worst = np.max(np.abs(m[_OFF_X]))
     if worst > XPATTERN_TOL:
         raise InvalidStateError(f"non-X reduction: off-pattern entry {worst:.3e}")
     if np.max(np.abs(m.imag)) > XPATTERN_TOL:

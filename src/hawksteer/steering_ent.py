@@ -25,6 +25,9 @@ SQRT3 = np.sqrt(3.0)
 BRANCH_CORNER = "corner"  # driven by c14, the |00><11| coherence
 BRANCH_INNER = "inner"    # driven by c23, the |01><10| coherence
 
+_SY = np.array([[0, -1j], [1j, 0]])
+_SPIN_FLIP = np.kron(_SY, _SY)
+
 
 @dataclass(frozen=True)
 class WitnessThresholds:
@@ -66,8 +69,6 @@ def concurrence_oracle(d: DenseState) -> float:
     """
     if d.dim != 4:
         raise InvalidStateError("invalid state: need a two-qubit density matrix")
-    sy = np.array([[0, -1j], [1j, 0]])
-    flip = np.kron(sy, sy)
     ev, vec = np.linalg.eigh(d.matrix)
     if ev.min() < -1e-10:
         raise InvalidStateError(f"invalid state: eigenvalue {ev.min():.3e}")
@@ -75,7 +76,7 @@ def concurrence_oracle(d: DenseState) -> float:
     # amplify 1e-17 noise to 1e-8.5 in the null space otherwise.
     ev = np.where(ev < 1e-14, 0.0, ev)
     sqrt_rho = (vec * np.sqrt(ev)) @ vec.conj().T
-    sqrt_flipped = flip @ sqrt_rho.conj() @ flip
+    sqrt_flipped = _SPIN_FLIP @ sqrt_rho.conj() @ _SPIN_FLIP
     lam = np.linalg.svd(sqrt_flipped @ sqrt_rho, compute_uv=False)
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 

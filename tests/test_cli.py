@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hawksteer.cli import main
+from hawksteer.selfcheck import MONOGAMY_TOL, ORACLE_TOL, PIPELINE_TOL
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEP = [
@@ -189,6 +190,15 @@ class TestMonogamy:
         assert main(["monogamy", "--t-values", "-1"]) == 2
         assert "temperature" in capsys.readouterr().err
 
+    def test_rejects_non_numeric_entry(self, capsys):
+        for values, entry in (("", "''"), ("1,,2", "''"), ("abc", "'abc'"),
+                              ("0.5,1e", "'1e'")):
+            assert main(["monogamy", "--t-values", values]) == 2, values
+            captured = capsys.readouterr()
+            assert captured.out == "", values
+            assert captured.err.startswith("error:"), values
+            assert "--t-values" in captured.err and entry in captured.err, values
+
 
 class TestPlot:
     def test_deterministic(self, tmp_path):
@@ -210,6 +220,23 @@ class TestPlot:
         assert main(["plot", "no_such_file.csv", "--panel", "fig1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_temperature_column(self, tmp_path, capsys):
+        lines = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "no_t.csv"
+        bad.write_text(lines[0].replace("t_over_omega", "temperature") + "".join(lines[1:]))
+        assert main(["plot", str(bad), "--panel", "fig3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t_over_omega" in err
+
+    def test_short_row(self, tmp_path, capsys):
+        lines = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "short.csv"
+        bad.write_text("".join(lines[:3]) + ",".join(lines[3].split(",")[:5]) + "\n"
+                       + "".join(lines[4:]))
+        assert main(["plot", str(bad), "--panel", "fig3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 3" in err
+
 
 class TestSelfcheck:
     def test_all_pass(self, capsys):
@@ -217,3 +244,11 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert out.strip().endswith("4/4 checks passed")
+        # One [PASS] line per check, in ALL_CHECKS order, each worst case
+        # within the tolerance that check applies.
+        lines = out.splitlines()[:-1]
+        tolerances = (ORACLE_TOL, ORACLE_TOL, PIPELINE_TOL, MONOGAMY_TOL)
+        assert len(lines) == len(tolerances)
+        for line, tol in zip(lines, tolerances):
+            assert line.startswith("[PASS] "), line
+            assert float(line.rsplit(" ", 1)[1]) <= tol, line

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -81,6 +83,37 @@ class TestTripartiteState:
         for i, j in ((0, 0), (0, 6), (6, 0), (6, 6)):
             expect[i, j] = 0.5
         assert np.array_equal(m.real, expect)
+
+    def test_shared_matrix_is_read_only(self):
+        m = tripartite_state(amplitudes(HawkingParams(0.7, 1.0))).matrix
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+    def test_pipeline_reports_independent_of_call_order(self):
+        keys = [(float(t), pair) for t in np.geomspace(0.05, 50.0, 12) for pair in PAIRS]
+
+        def report(t, pair):
+            return bits(report_fields(pipeline_report(HawkingParams(t, 1.0), pair)))
+
+        fresh = {}
+        for key in keys:
+            tripartite_state.cache_clear()
+            fresh[key] = report(*key)
+        for order in (keys, sorted(keys, key=lambda k: (k[1], k[0])), keys[::-1]):
+            tripartite_state.cache_clear()
+            for key in order:
+                assert np.array_equal(report(*key), fresh[key]), key
+
+    def test_memo_stays_bounded(self):
+        first = tripartite_state(amplitudes(HawkingParams(0.3, 1.0)))
+        gone = weakref.ref(first)
+        del first
+        for t in np.geomspace(1.0, 1e3, 200):
+            monogamy_residuals(HawkingParams(float(t), 1.0))
+        info = tripartite_state.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        gc.collect()
+        assert gone() is None
 
 
 class TestClosedFormVsPipeline:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hawksteer.qstate import TwoQubitXState, bloch_coefficients, embed_dense
-from hawksteer.selfcheck import random_xstates
+from hawksteer.selfcheck import random_xstates, reduced_state_population
 from hawksteer.steering_entropy import (
     A_TO_B,
     B_TO_A,
@@ -25,6 +25,35 @@ def hawking_ab_state(x: float) -> TwoQubitXState:
     c_sq = 1.0 / (math.exp(-x) + 1.0)
     return TwoQubitXState(c_sq / 2, (1 - c_sq) / 2, 0.0, 0.5,
                           c14=math.sqrt(c_sq) / 2, c23=0.0)
+
+
+SIGMA = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def shannon(p):
+    p = np.clip(np.asarray(p, dtype=float).ravel(), 0.0, None)
+    nz = p[p > 0]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
+def loop_entropy_sum_oracle(d, direction):
+    """Reference oracle: one projector product and one trace per outcome pair."""
+    total = 0.0
+    eye = np.eye(2)
+    for axis in "xyz":
+        projs = [0.5 * (eye + SIGMA[axis]), 0.5 * (eye - SIGMA[axis])]
+        joint = np.empty((2, 2))
+        for a in range(2):
+            for b in range(2):
+                joint[a, b] = np.trace(d.matrix @ np.kron(projs[a], projs[b])).real
+        if direction == B_TO_A:
+            joint = joint.T
+        total += shannon(joint) - shannon(joint.sum(axis=1))
+    return total
 
 
 class TestClosedForm:
@@ -77,6 +106,22 @@ class TestOracle:
         slope, intercept = oracle_affine_calibration()
         assert slope == pytest.approx(-2.0, abs=1e-12)
         assert intercept == pytest.approx(6.0, abs=1e-12)
+
+    def test_calibration_is_exact(self):
+        assert oracle_affine_calibration() == (-2.0, 6.0)
+
+    def test_stacked_oracle_equals_loop_bitwise(self):
+        for s in random_xstates(500) + reduced_state_population():
+            d = embed_dense(s)
+            for direction in (A_TO_B, B_TO_A):
+                assert entropy_sum_oracle(d, direction) == loop_entropy_sum_oracle(d, direction)
+
+    def test_rejects_negative_probability(self):
+        from hawksteer.qstate import DenseState
+        # Passes the eigenvalue tolerance, but its |01> population is below LOG_CLAMP.
+        m = np.diag([0.5, -1e-11, 0.25, 0.25 + 1e-11])
+        with pytest.raises(ValueError, match="probability -1.000e-11"):
+            entropy_sum_oracle(DenseState(m))
 
     def test_rejects_wrong_dim(self):
         from hawksteer.qstate import DenseState
