@@ -32,7 +32,7 @@ def _write_output(text: str, path: str | None):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -90,30 +90,31 @@ def cmd_monogamy(args) -> int:
 
 def cmd_plot(args) -> int:
     pair = _PANEL_PAIR[args.panel]
-    with open(args.sweep_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        fieldnames = reader.fieldnames or []
+    with open(args.sweep_csv, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]  # skips blank lines, as csv.DictReader does
+    column = {name: i for i, name in enumerate(header)}
     needed = [f"{pair}_{f}" for f in _CURVE_FIELDS]
-    if not any(col in fieldnames for col in needed):
+    if not any(col in column for col in needed):
         raise ValueError(f"missing columns for pair {pair} in {args.sweep_csv}")
-    if "t_over_omega" not in fieldnames:
+    if "t_over_omega" not in column:
         raise ValueError(f"missing column t_over_omega in {args.sweep_csv}")
+    short = next((i for i, row in enumerate(rows) if len(row) < len(header)), None)
+    if short is not None:
+        raise ValueError(f"data row {short + 1} of {args.sweep_csv} has {len(rows[short])} "
+                         f"cells, the header has {len(header)}")
+    j = column["t_over_omega"]
+    x = [float(row[j]) for row in rows]
     curves = []
-    try:
-        x = [float(r["t_over_omega"]) for r in rows]
-        for field, col in zip(_CURVE_FIELDS, needed):
-            if col not in fieldnames:
-                continue
-            cells = [r[col] for r in rows]
-            if any(c == "" for c in cells):
-                continue  # measure not selected in the sweep
-            curves.append((field, [float(c) for c in cells]))
-    except TypeError:  # float(None): csv.DictReader fills a short row with None
-        i, row = next((i, r) for i, r in enumerate(rows, 1) if None in r.values())
-        cells = sum(v is not None for v in row.values())
-        raise ValueError(f"data row {i} of {args.sweep_csv} has {cells} cells, "
-                         f"the header has {len(fieldnames)}") from None
+    for field, col in zip(_CURVE_FIELDS, needed):
+        if col not in column:
+            continue
+        j = column[col]
+        cells = [row[j] for row in rows]
+        if "" in cells:
+            continue  # measure not selected in the sweep
+        curves.append((field, list(map(float, cells))))
     if not curves:
         raise ValueError(f"no populated curves for pair {pair} in {args.sweep_csv}")
     svg = render_lineplot(x, curves, xlabel="T/ω", ylabel="steerability",

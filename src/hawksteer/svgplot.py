@@ -7,6 +7,10 @@ plots can be golden-file tested.  One polyline per curve on a fixed
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 WIDTH, HEIGHT = 800, 500
 MARGIN_LEFT, MARGIN_RIGHT = 70, 150
 MARGIN_TOP, MARGIN_BOTTOM = 30, 60
@@ -36,8 +40,11 @@ def render_lineplot(
     if not x or not curves:
         raise ValueError("nothing to plot")
     xmin, xmax = min(x), max(x)
-    ys = [v for _, series in curves for v in series]
-    ymin, ymax = min(0.0, min(ys)), max(ys)
+    if xmax <= xmin:
+        xmax = xmin + 1.0
+    ys = [series for _, series in curves]
+    ymin = min(0.0, min(chain.from_iterable(ys)))
+    ymax = max(chain.from_iterable(ys))
     if ymax <= ymin:
         ymax = ymin + 1.0
     pad = 0.05 * (ymax - ymin)
@@ -46,10 +53,10 @@ def render_lineplot(
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def sx(v: float) -> float:
+    def sx(v):  # a float or a float64 array
         return MARGIN_LEFT + (v - xmin) / (xmax - xmin) * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return MARGIN_TOP + (ymax - v) / (ymax - ymin) * plot_h
 
     out = [
@@ -80,10 +87,16 @@ def render_lineplot(
         out.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="20" '
                    f'font-size="14" text-anchor="middle">{title}</text>')
 
-    for k, (name, series) in enumerate(curves):
+    # sx and sy scale each series once as a float64 array, with the same
+    # IEEE operations as on one float, so every coordinate is bit-identical.
+    # As in Python float arithmetic, an inf or nan cell propagates quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = sx(np.asarray(x, dtype=np.float64))
+        pys = [sy(np.asarray(series, dtype=np.float64)) for series in ys]
+    fx = list(map(_fnum, px.tolist()))
+    for k, ((name, _), py) in enumerate(zip(curves, pys)):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{_fnum(sx(px))},{_fnum(sy(py))}"
-                       for px, py in zip(x, series))
+        pts = " ".join(map(",".join, zip(fx, map(_fnum, py.tolist()))))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         ly = MARGIN_TOP + 15 + 18 * k

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -236,6 +237,69 @@ class TestPlot:
         assert main(["plot", str(bad), "--panel", "fig3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "row 3" in err
+
+    def test_short_row_outside_the_panel_columns(self, tmp_path, capsys):
+        # Row 3 lacks only BBbar_concurrence, which no panel plots; every
+        # short row is still refused.
+        lines = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "short.csv"
+        bad.write_text("".join(lines[:3]) + lines[3].rsplit(",", 1)[0] + "\n"
+                       + "".join(lines[4:]))
+        assert main(["plot", str(bad), "--panel", "fig1"]) == 2
+        assert capsys.readouterr().err == (f"error: data row 3 of {bad} has 23 cells, "
+                                           "the header has 24\n")
+
+    def test_header_only(self, tmp_path, capsys):
+        header = tmp_path / "header.csv"
+        header.write_text((DATA / "golden_sweep.csv").read_text().splitlines()[0] + "\n")
+        assert main(["plot", str(header), "--panel", "fig3"]) == 2
+        assert capsys.readouterr().err == "error: nothing to plot\n"
+
+    def test_csv_dialect_variants_plot_the_same(self, tmp_path):
+        text = (DATA / "golden_sweep.csv").read_text()
+        lines = text.splitlines(keepends=True)
+        cells = lines[3].rstrip("\n").split(",")
+        cells[-3] = f'"{cells[-3]}"'  # BBbar_t_ab, plotted in fig3
+        variants = {
+            "crlf": text.replace("\n", "\r\n"),
+            "quoted": ('"t_over_omega"' + lines[0].removeprefix("t_over_omega")
+                       + "".join(lines[1:3]) + ",".join(cells) + "\n" + "".join(lines[4:])),
+            "blank_lines": lines[0] + "\n" + "\n".join(lines[1:]) + "\n\n",
+            "extra_cell": "".join(lines[:5]) + lines[5].rstrip("\n") + ",extra\n"
+                          + "".join(lines[6:]),
+        }
+        golden = (DATA / "golden_fig3.svg").read_bytes()
+        for name, variant in variants.items():
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+            src.write_bytes(variant.encode())
+            assert main(["plot", str(src), "--panel", "fig3", "-o", str(out)]) == 0, name
+            assert out.read_bytes() == golden, name
+
+    def test_constant_temperature(self, tmp_path):
+        # One data row, or a constant t_over_omega column: the x range is
+        # empty and widens to [x, x + 1], as the y range does.
+        lines = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
+        flat = [lines[0]] + ["1.0" + line[line.index(","):] for line in lines[1:]]
+        for name, text, points in (("one_row", lines[0] + lines[1], 1),
+                                   ("flat", "".join(flat), len(lines) - 1)):
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+            src.write_text(text)
+            assert main(["plot", str(src), "--panel", "fig3", "-o", str(out)]) == 0, name
+            polylines = re.findall(r'<polyline points="([^"]*)"', out.read_text())
+            assert len(polylines) == 6, name
+            for pts in polylines:
+                xs = [p.split(",")[0] for p in pts.split(" ")]
+                assert xs == ["70"] * points, name
+
+    def test_output_independent_of_locale(self, tmp_path):
+        # Under the C locale without UTF-8 mode the locale encoding is ASCII,
+        # which cannot encode the "ω" of the axis label.
+        out = tmp_path / "fig3.svg"
+        r = run_cli(["plot", str(DATA / "golden_sweep.csv"), "--panel", "fig3",
+                     "-o", str(out)],
+                    env_extra={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+        assert r.returncode == 0, r.stderr
+        assert out.read_bytes() == (DATA / "golden_fig3.svg").read_bytes()
 
 
 class TestSelfcheck:
