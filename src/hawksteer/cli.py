@@ -21,19 +21,22 @@ from .hawking import (
     monogamy_threshold,
 )
 from .selfcheck import MONOGAMY_TOL
-from .sweep import MEASURES, SweepConfig, render_table, run_sweep, to_csv, to_json
+from .sweep import MEASURES, PAIR_FIELDS, SweepConfig, render_table, run_sweep, to_csv, to_json
 from .svgplot import render_lineplot
 
 _PANEL_PAIR = {"fig1": "AB", "fig2": "ABbar", "fig3": "BBbar"}
-_CURVE_FIELDS = ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta")
 
 
 def _write_output(text: str, path: str | None):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
+    """Write text as UTF-8 to `path`, or to stdout when path is None or "-"."""
+    if path is not None and path != "-":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
+    elif hasattr(sys.stdout, "buffer"):  # bytes: the locale encoding does not apply
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # an in-process text redirect
+        sys.stdout.write(text)
 
 
 def cmd_sweep(args) -> int:
@@ -95,7 +98,8 @@ def cmd_plot(args) -> int:
         header = next(reader, [])
         rows = [row for row in reader if row]  # skips blank lines, as csv.DictReader does
     column = {name: i for i, name in enumerate(header)}
-    needed = [f"{pair}_{f}" for f in _CURVE_FIELDS]
+    fields = [f for f in PAIR_FIELDS if f != "concurrence"]  # the steerability curves
+    needed = [f"{pair}_{f}" for f in fields]
     if not any(col in column for col in needed):
         raise ValueError(f"missing columns for pair {pair} in {args.sweep_csv}")
     if "t_over_omega" not in column:
@@ -107,7 +111,7 @@ def cmd_plot(args) -> int:
     j = column["t_over_omega"]
     x = [float(row[j]) for row in rows]
     curves = []
-    for field, col in zip(_CURVE_FIELDS, needed):
+    for field, col in zip(fields, needed):
         if col not in column:
             continue
         j = column[col]

@@ -176,22 +176,19 @@ def closed_form_report_from_amplitudes(a: HawkingAmplitudes, pair: str) -> Bipar
     c, s = a.c_amp, a.s_amp
     c2, s2 = c * c, s * s
     xc, xs = _xlg(c2), _xlg(s2)
-    if pair == "AB":
-        lp = _xlg(1.0 + c) + _xlg(1.0 - c)
+    if pair in ("AB", "ABbar"):
+        # A bit flip on anti-Bob's mode turns ABbar into AB with C and S exchanged
+        # (k the pair's amplitude, o the other) and moves c14 to c23, hence "inner".
+        if pair == "AB":
+            k, k2, o2, xo, branch = c, c2, s2, xs, BRANCH_CORNER
+        else:
+            k, k2, o2, xo, branch = s, s2, c2, xc, BRANCH_INNER
+        lp = _xlg(1.0 + k) + _xlg(1.0 - k)
         raw_ab = 0.25 * (2.0 * lp + xc + xs)
-        raw_ba = 0.25 * (2.0 * lp - _xlg(1.0 + s2) + xs)
-        t_ab = c2 - c2 * s2 / SQRT3
-        t_ba = c2 - s2 / SQRT3
-        conc = c
-        branch = BRANCH_CORNER
-    elif pair == "ABbar":
-        lp = _xlg(1.0 + s) + _xlg(1.0 - s)
-        raw_ab = 0.25 * (2.0 * lp + xc + xs)
-        raw_ba = 0.25 * (2.0 * lp - _xlg(1.0 + c2) + xc)
-        t_ab = s2 - c2 * s2 / SQRT3
-        t_ba = s2 - c2 / SQRT3
-        conc = s
-        branch = BRANCH_INNER
+        raw_ba = 0.25 * (2.0 * lp - _xlg(1.0 + o2) + xo)
+        t_ab = k2 - c2 * s2 / SQRT3
+        t_ba = k2 - o2 / SQRT3
+        conc = k
     elif pair == "BBbar":
         cs = c * s
         lp = _xlg(1.0 + cs) + _xlg(1.0 - cs)
@@ -313,24 +310,14 @@ def _golden_max(f, xa: float, xb: float, xc: float, tol: float) -> float:
     return x1 if f1 > f2 else x2
 
 
-def _find_birth(f, grid: np.ndarray, column: np.ndarray, omega: float) -> float:
-    """Smallest T where f (a clamped steerability) crosses BIRTH_EPS."""
+def _find_crossing(f, grid: np.ndarray, column: np.ndarray, omega: float, kind: str) -> float:
+    """First T where f rises through BIRTH_EPS ("birth") or last where it falls ("death")."""
     vals = column - BIRTH_EPS
-    idx = np.nonzero((vals[:-1] <= 0.0) & (vals[1:] > 0.0))[0]
+    below, above = (vals[:-1], vals[1:]) if kind == "birth" else (vals[1:], vals[:-1])
+    idx = np.nonzero((below <= 0.0) & (above > 0.0))[0]
     if idx.size == 0:
-        raise BracketError(f"bracket failure: no birth in [1e-3, 1e4] * omega={omega}")
-    i = idx[0]
-    return _bisect(lambda t: f(t) - BIRTH_EPS, float(grid[i]), float(grid[i + 1]),
-                   vals[i], vals[i + 1], xtol=1e-12 * omega)
-
-
-def _find_death(f, grid: np.ndarray, column: np.ndarray, omega: float) -> float:
-    """Largest T where f crosses BIRTH_EPS from above."""
-    vals = column - BIRTH_EPS
-    idx = np.nonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))[0]
-    if idx.size == 0:
-        raise BracketError(f"bracket failure: no death in [1e-3, 1e4] * omega={omega}")
-    i = idx[-1]
+        raise BracketError(f"bracket failure: no {kind} in [1e-3, 1e4] * omega={omega}")
+    i = idx[0] if kind == "birth" else idx[-1]
     return _bisect(lambda t: f(t) - BIRTH_EPS, float(grid[i]), float(grid[i + 1]),
                    vals[i], vals[i + 1], xtol=1e-12 * omega)
 
@@ -347,6 +334,23 @@ def _measure(rep: BipartitionReport, attr: str):
     return getattr(rep.entropy if attr.startswith("s_") else rep.ent, attr)
 
 
+def monogamy_threshold(omega: float) -> float:
+    """omega / ln(sqrt 3): ABbar's B->A witness steering is born, r3 and r4 apply above."""
+    return omega / math.log(math.sqrt(3.0))
+
+
+#: The five critical points, in CriticalTemperatures field order: name,
+#: pair, measure, kind (birth, peak or death) and the closed form in omega
+#: (None where there is none).
+_CRITICAL_POINTS = (
+    ("t_birth_entropy_a_to_abar", "ABbar", "s_ab", "birth", None),
+    ("t_birth_entropy_abar_to_a", "ABbar", "s_ba", "birth", None),
+    ("t_birth_ent_abar_to_a", "ABbar", "t_ba", "birth", monogamy_threshold),
+    ("t_peak_bbbar", "BBbar", "t_ab", "peak", lambda w: w / math.log(2.0 + math.sqrt(3.0))),
+    ("t_death_bbbar", "BBbar", "t_ab", "death", lambda w: -w / math.log(math.sqrt(3.0) - 1.0)),
+)
+
+
 def critical_temperatures(omega: float) -> CriticalTemperatures:
     """All five critical temperatures, closed form and numeric side by side.
 
@@ -355,17 +359,22 @@ def critical_temperatures(omega: float) -> CriticalTemperatures:
     columns and refines it with the kernel at single temperatures.
     """
     require_positive("omega", omega)
+    require_positive("1e-3 * omega", 1e-3 * omega)  # the ends of the scan grid
+    require_positive("1e4 * omega", 1e4 * omega)
     grid = np.geomspace(1e-3 * omega, 1e4 * omega, 600)
     cols = amplitudes_at(omega / grid)
     reports = {pair: closed_form_report_from_amplitudes(cols, pair)
                for pair in ("ABbar", "BBbar")}
 
-    def point(name, closed, finder, pair, attr):
+    def point(name, pair, attr, kind, closed_form):
         def f(t):
             return _measure(closed_form_report(HawkingParams(t, omega), pair), attr)
 
+        closed = None if closed_form is None else closed_form(omega)
+        column = _measure(reports[pair], attr)
         try:
-            numeric = finder(f, grid, _measure(reports[pair], attr), omega)
+            numeric = (_find_peak(f, grid, column, omega) if kind == "peak"
+                       else _find_crossing(f, grid, column, omega, kind))
         except BracketError as exc:
             return CriticalPoint(name=name, closed_form=closed, numeric=math.nan,
                                  discrepancy=None, error=str(exc))
@@ -373,19 +382,7 @@ def critical_temperatures(omega: float) -> CriticalTemperatures:
         return CriticalPoint(name=name, closed_form=closed, numeric=numeric,
                              discrepancy=disc)
 
-    t_ent_birth = omega / math.log(math.sqrt(3.0))
-    t_peak = omega / math.log(2.0 + math.sqrt(3.0))
-    t_dea = -omega / math.log(math.sqrt(3.0) - 1.0)
-    return CriticalTemperatures(
-        t_birth_entropy_a_to_abar=point(
-            "t_birth_entropy_a_to_abar", None, _find_birth, "ABbar", "s_ab"),
-        t_birth_entropy_abar_to_a=point(
-            "t_birth_entropy_abar_to_a", None, _find_birth, "ABbar", "s_ba"),
-        t_birth_ent_abar_to_a=point(
-            "t_birth_ent_abar_to_a", t_ent_birth, _find_birth, "ABbar", "t_ba"),
-        t_peak_bbbar=point("t_peak_bbbar", t_peak, _find_peak, "BBbar", "t_ab"),
-        t_death_bbbar=point("t_death_bbbar", t_dea, _find_death, "BBbar", "t_ab"),
-    )
+    return CriticalTemperatures(*(point(*row) for row in _CRITICAL_POINTS))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +405,6 @@ class MonogamyResiduals:
     @property
     def applicable(self) -> tuple[float, ...]:
         return tuple(r for r in (self.r1, self.r2, self.r3, self.r4) if r is not None)
-
-
-def monogamy_threshold(omega: float) -> float:
-    return omega / math.log(math.sqrt(3.0))
 
 
 def monogamy_residuals(p: HawkingParams) -> MonogamyResiduals:

@@ -55,53 +55,52 @@ def reduced_state_population(n_grid: int = 200) -> list[TwoQubitXState]:
     return states
 
 
+def _verdict(name: str, label: str, diffs: list[float], tol: float) -> tuple[str, bool, str]:
+    """(name, ok, detail) for the largest |diff|; a NaN among them is the worst and fails."""
+    worst = float(np.max(np.abs(diffs), initial=0.0))
+    return name, worst <= tol, f"{label} {worst:.3e}"
+
+
 def check_concurrence_oracle(n_random: int = 1000) -> tuple[str, bool, str]:
-    worst = 0.0
-    for s in random_xstates(n_random) + reduced_state_population():
-        closed = steering_ent.concurrence_xstate(s)
-        oracle = steering_ent.concurrence_oracle(embed_dense(s))
-        worst = max(worst, abs(closed - oracle))
-    return ("concurrence closed form vs spin-flip oracle",
-            worst <= ORACLE_TOL, f"max discrepancy {worst:.3e}")
+    diffs = [steering_ent.concurrence_xstate(s)
+             - steering_ent.concurrence_oracle(embed_dense(s))
+             for s in random_xstates(n_random) + reduced_state_population()]
+    return _verdict("concurrence closed form vs spin-flip oracle",
+                    "max discrepancy", diffs, ORACLE_TOL)
 
 
 def check_entropy_oracle(n_random: int = 1000) -> tuple[str, bool, str]:
-    worst = 0.0
+    diffs = []
     for s in random_xstates(n_random) + reduced_state_population():
         d = embed_dense(s)
         b = bloch_coefficients(s)
         for direction in (steering_entropy.A_TO_B, steering_entropy.B_TO_A):
             closed = steering_entropy.entropy_sum_closed_form(b, direction)
-            oracle = steering_entropy.entropy_sum_from_oracle(d, direction)
-            worst = max(worst, abs(closed - oracle))
-    return ("entropy sum closed form vs measurement-statistics oracle",
-            worst <= ORACLE_TOL, f"max discrepancy {worst:.3e}")
+            diffs.append(closed - steering_entropy.entropy_sum_from_oracle(d, direction))
+    return _verdict("entropy sum closed form vs measurement-statistics oracle",
+                    "max discrepancy", diffs, ORACLE_TOL)
 
 
 def check_pipeline_equivalence(n_grid: int = 200) -> tuple[str, bool, str]:
-    worst = 0.0
+    diffs = []
     for t in grid_temperatures(n_grid):
         p = HawkingParams(t, 1.0)
         for pair in PAIRS:
             a = closed_form_report(p, pair)
             b = pipeline_report(p, pair)
-            for f in ENTROPY_FIELDS:
-                worst = max(worst, abs(getattr(a.entropy, f) - getattr(b.entropy, f)))
-            for f in ENT_FIELDS:
-                worst = max(worst, abs(getattr(a.ent, f) - getattr(b.ent, f)))
-            worst = max(worst, abs(a.concurrence - b.concurrence))
-    return ("matrix pipeline vs closed-form reports",
-            worst <= PIPELINE_TOL, f"max discrepancy {worst:.3e}")
+            diffs += [getattr(a.entropy, f) - getattr(b.entropy, f) for f in ENTROPY_FIELDS]
+            diffs += [getattr(a.ent, f) - getattr(b.ent, f) for f in ENT_FIELDS]
+            diffs.append(a.concurrence - b.concurrence)
+    return _verdict("matrix pipeline vs closed-form reports",
+                    "max discrepancy", diffs, PIPELINE_TOL)
 
 
 def check_monogamy(n_grid: int = 200) -> tuple[str, bool, str]:
-    worst = 0.0
+    residuals = []
     for t in grid_temperatures(n_grid):
-        res = monogamy_residuals(HawkingParams(t, 1.0))
-        for r in res.applicable:
-            worst = max(worst, abs(r))
-    return ("steering/entanglement monogamy residuals",
-            worst <= MONOGAMY_TOL, f"max residual {worst:.3e}")
+        residuals += monogamy_residuals(HawkingParams(t, 1.0)).applicable
+    return _verdict("steering/entanglement monogamy residuals",
+                    "max residual", residuals, MONOGAMY_TOL)
 
 
 ALL_CHECKS = (

@@ -185,10 +185,9 @@ def steerability_from_sum(i):
     return keep_above((i - 2.0) / (I_MAX - 2.0), STEER_FLUSH)
 
 
-def steerability_entropy(b: BlochXCoefficients | TwoQubitXState) -> EntropySteeringReport:
+def steerability_entropy(s: TwoQubitXState) -> EntropySteeringReport:
     """Directional steerabilities and steering asymmetry for an X-state."""
-    if isinstance(b, TwoQubitXState):
-        b = bloch_coefficients(b)
+    b = bloch_coefficients(s)
     i_ab = entropy_sum_closed_form(b, A_TO_B)
     i_ba = entropy_sum_closed_form(b, B_TO_A)
     s_ab = steerability_from_sum(i_ab)

@@ -7,6 +7,7 @@ plots can be golden-file tested.  One polyline per curve on a fixed
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -22,9 +23,13 @@ def _fnum(v: float) -> str:
     return f"{v:.3f}".rstrip("0").rstrip(".")
 
 
+def _widen(lo: float, hi: float) -> float:
+    """The top of the range [lo, hi], raised when the range is empty: to lo + 1,
+    or to the next float above lo where |lo| >= 2^53 rounds the + 1 away."""
+    return max(lo + 1.0, math.nextafter(lo, math.inf)) if hi <= lo else hi
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -39,14 +44,11 @@ def render_lineplot(
     """Render curves sharing the x grid into a self-contained SVG string."""
     if not x or not curves:
         raise ValueError("nothing to plot")
-    xmin, xmax = min(x), max(x)
-    if xmax <= xmin:
-        xmax = xmin + 1.0
+    xmin = min(x)
+    xmax = _widen(xmin, max(x))
     ys = [series for _, series in curves]
     ymin = min(0.0, min(chain.from_iterable(ys)))
-    ymax = max(chain.from_iterable(ys))
-    if ymax <= ymin:
-        ymax = ymin + 1.0
+    ymax = _widen(ymin, max(chain.from_iterable(ys)))
     pad = 0.05 * (ymax - ymin)
     ymax += pad
 

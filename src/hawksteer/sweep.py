@@ -28,7 +28,7 @@ from .hawking import (
 MEASURES = ("entropy", "ent", "both")
 # Per-pair fields: the s_* belong to the "entropy" measure, the t_* to "ent";
 # concurrence is written under either.
-_PAIR_FIELDS = ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta", "concurrence")
+PAIR_FIELDS = ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta", "concurrence")
 _DESELECTED_PREFIX = {"entropy": "t_", "ent": "s_"}
 
 
@@ -45,6 +45,8 @@ class SweepConfig:
     def __post_init__(self):
         require_positive("omega", self.omega)
         require_positive("t_max", self.t_max)
+        if not np.isfinite(self.t_max / self.omega):  # the t_over_omega column
+            raise ValueError(f"t_max / omega must be finite, got {self.t_max} / {self.omega}")
         if not (self.t_min < self.t_max):
             raise ValueError(f"need t_min < t_max, got {self.t_min} >= {self.t_max}")
         if self.steps < 2:
@@ -74,12 +76,12 @@ class SweepConfig:
 def columns(cfg: SweepConfig) -> list[str]:
     cols = ["t_over_omega", "c_sq", "s_sq"]
     for pair in cfg.ordered_pairs:
-        cols += [f"{pair}_{f}" for f in _PAIR_FIELDS]
+        cols += [f"{pair}_{f}" for f in PAIR_FIELDS]
     return cols
 
 
 def _pair_values(rep: BipartitionReport) -> tuple[float, ...]:
-    """The report's values in _PAIR_FIELDS order."""
+    """The report's values in PAIR_FIELDS order."""
     e, t = rep.entropy, rep.ent
     return (e.s_ab, e.s_ba, e.delta, t.t_ab, t.t_ba, t.delta, rep.concurrence)
 
@@ -88,7 +90,7 @@ def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
     """Evaluate every grid point, in grid order."""
     cols, pairs = columns(cfg), cfg.ordered_pairs
     skip = _DESELECTED_PREFIX.get(cfg.measures)
-    kept = [skip is None or not f.startswith(skip) for f in _PAIR_FIELDS]
+    kept = [skip is None or not f.startswith(skip) for f in PAIR_FIELDS]
 
     def record(t: float) -> dict[str, float | None]:
         a = FROZEN if t == 0.0 else amplitudes(HawkingParams(t, cfg.omega))

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -10,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from hawksteer import selfcheck, steering_ent, steering_entropy
 from hawksteer.cli import main
+from hawksteer.hawking import MonogamyResiduals, pipeline_report
 from hawksteer.selfcheck import MONOGAMY_TOL, ORACLE_TOL, PIPELINE_TOL
 
 DATA = Path(__file__).parent / "data"
@@ -22,13 +27,13 @@ GOLDEN_SWEEP = [
 GOLDEN_CRITICAL_OMEGAS = ("1e-3", "0.37", "1", "2", "7.5", "1e3")
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, text=True):
     # A numpy warning leaked by the child process fails the test too.
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hawksteer", *args],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=text, env=env)
 
 
 class TestGoldenFiles:
@@ -110,6 +115,11 @@ class TestBoundaries:
             (["sweep", "--t-min", "0.1", "--t-max", "nan", "--steps", "3"], "t_max"),
             (["monogamy", "--t-values", "inf"], "temperature"),
             (["monogamy", "--omega", "inf", "--t-values", "1"], "omega"),
+            # t_over_omega = 2 / 5e-324 would be inf.
+            (["sweep", "--omega", "5e-324", "--t-min", "1", "--t-max", "2",
+              "--steps", "2"], "t_max / omega"),
+            (["sweep", "--omega", "1e-300", "--t-min", "1", "--t-max", "1e10",
+              "--steps", "2"], "t_max / omega"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a warning fails the call
@@ -153,7 +163,9 @@ class TestCritical:
         assert any("t_peak_bbbar" in line for line in lines)
 
     def test_rejects_bad_omega(self, capsys):
-        for omega in ("-1", "inf", "nan"):
+        # The last three put an end of the scan grid [1e-3, 1e4] * omega at
+        # inf or 0.
+        for omega in ("-1", "inf", "nan", "1e305", "5e-324", "1e-321"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a warning fails the call
                 assert main(["critical", "--omega", omega]) == 2
@@ -277,11 +289,17 @@ class TestPlot:
 
     def test_constant_temperature(self, tmp_path):
         # One data row, or a constant t_over_omega column: the x range is
-        # empty and widens to [x, x + 1], as the y range does.
+        # empty and widens to [x, x + 1], as the y range does.  At |x| >= 2^53
+        # the + 1 rounds away and the range is one ulp wide instead; likewise
+        # for curves that are all one value <= -2^53.
         lines = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
         flat = [lines[0]] + ["1.0" + line[line.index(","):] for line in lines[1:]]
+        huge_x = "1e17" + lines[1][lines[1].index(","):]
+        huge_y = ",".join(["1.0"] + ["-1e17"] * (lines[0].count(",") - 1) + ["0.5"]) + "\n"
         for name, text, points in (("one_row", lines[0] + lines[1], 1),
-                                   ("flat", "".join(flat), len(lines) - 1)):
+                                   ("flat", "".join(flat), len(lines) - 1),
+                                   ("huge_x", lines[0] + huge_x, 1),
+                                   ("huge_negative_y", lines[0] + huge_y, 1)):
             src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
             src.write_text(text)
             assert main(["plot", str(src), "--panel", "fig3", "-o", str(out)]) == 0, name
@@ -293,13 +311,39 @@ class TestPlot:
 
     def test_output_independent_of_locale(self, tmp_path):
         # Under the C locale without UTF-8 mode the locale encoding is ASCII,
-        # which cannot encode the "ω" of the axis label.
+        # which cannot encode the "ω" of the axis label.  Both the -o file and
+        # stdout get the UTF-8 bytes.
         out = tmp_path / "fig3.svg"
-        r = run_cli(["plot", str(DATA / "golden_sweep.csv"), "--panel", "fig3",
-                     "-o", str(out)],
-                    env_extra={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+        golden = (DATA / "golden_fig3.svg").read_bytes()
+        argv = ["plot", str(DATA / "golden_sweep.csv"), "--panel", "fig3"]
+        locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        r = run_cli(argv + ["-o", str(out)], env_extra=locale)
         assert r.returncode == 0, r.stderr
-        assert out.read_bytes() == (DATA / "golden_fig3.svg").read_bytes()
+        assert out.read_bytes() == golden
+        r = run_cli(argv, env_extra=locale, text=False)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == golden
+
+    def test_stdout_redirected_in_process(self):
+        # A text stream without a byte buffer gets the same text.
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["plot", str(DATA / "golden_sweep.csv"), "--panel", "fig3"]) == 0
+        assert buf.getvalue().encode("utf-8") == (DATA / "golden_fig3.svg").read_bytes()
+
+
+# For each selfcheck check, a stand-in that makes its oracle, pipeline or
+# residuals NaN: (module, attribute, replacement).
+NAN_PATCHES = {
+    "check_concurrence_oracle": (steering_ent, "concurrence_oracle", lambda d: math.nan),
+    "check_entropy_oracle": (steering_entropy, "entropy_sum_from_oracle",
+                             lambda d, direction: math.nan),
+    "check_pipeline_equivalence": (
+        selfcheck, "pipeline_report",
+        lambda p, pair: dataclasses.replace(pipeline_report(p, pair), concurrence=math.nan)),
+    "check_monogamy": (selfcheck, "monogamy_residuals",
+                       lambda p: MonogamyResiduals(r1=math.nan, r2=0.0, r3=None, r4=None)),
+}
 
 
 class TestSelfcheck:
@@ -316,3 +360,15 @@ class TestSelfcheck:
         for line, tol in zip(lines, tolerances):
             assert line.startswith("[PASS] "), line
             assert float(line.rsplit(" ", 1)[1]) <= tol, line
+
+    @pytest.mark.parametrize("check", NAN_PATCHES)
+    def test_nan_fails(self, monkeypatch, capsys, check):
+        # A NaN is no discrepancy within tolerance: the check fails, and so
+        # does a selfcheck run (here of that one check).
+        target, name, fake = NAN_PATCHES[check]
+        monkeypatch.setattr(target, name, fake)
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", (getattr(selfcheck, check),))
+        assert main(["selfcheck"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[1] == "0/1 checks passed", out
+        assert out[0].startswith("[FAIL] ") and out[0].endswith(" nan"), out

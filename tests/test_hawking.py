@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hawksteer import hawking
 from hawksteer.hawking import (
     FROZEN,
     PAIRS,
@@ -22,6 +23,8 @@ from hawksteer.hawking import (
     pipeline_report,
     tripartite_state,
 )
+from hawksteer.steering_ent import BRANCH_CORNER, BRANCH_INNER
+from hawksteer.steering_entropy import keep_above, steerability_from_sum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -163,6 +166,47 @@ class TestColumnarKernel:
                 (col.ent.branch_ab, col.ent.branch_ba)}
 
 
+def separate_ab_abbar(a, pair):
+    """Reference: the AB and ABbar closed forms written out one pair at a time.
+
+    Returns the report fields in report_fields order and the branch.
+    """
+    xlg, sqrt3 = hawking._xlg, hawking.SQRT3
+    c, s = a.c_amp, a.s_amp
+    c2, s2 = c * c, s * s
+    xc, xs = xlg(c2), xlg(s2)
+    if pair == "AB":
+        lp = xlg(1.0 + c) + xlg(1.0 - c)
+        raw_ab = 0.25 * (2.0 * lp + xc + xs)
+        raw_ba = 0.25 * (2.0 * lp - xlg(1.0 + s2) + xs)
+        t_ab, t_ba, conc, branch = c2 - c2 * s2 / sqrt3, c2 - s2 / sqrt3, c, BRANCH_CORNER
+    else:
+        lp = xlg(1.0 + s) + xlg(1.0 - s)
+        raw_ab = 0.25 * (2.0 * lp + xc + xs)
+        raw_ba = 0.25 * (2.0 * lp - xlg(1.0 + c2) + xc)
+        t_ab, t_ba, conc, branch = s2 - c2 * s2 / sqrt3, s2 - c2 / sqrt3, s, BRANCH_INNER
+    i_ab, i_ba = 4.0 * raw_ab + 2.0, 4.0 * raw_ba + 2.0
+    s_ab, s_ba = steerability_from_sum(i_ab), steerability_from_sum(i_ba)
+    t_ab, t_ba = keep_above(t_ab, 0.0), keep_above(t_ba, 0.0)
+    return (i_ab, i_ba, s_ab, s_ba, abs(s_ab - s_ba), t_ab, t_ba, abs(t_ab - t_ba), conc), branch
+
+
+class TestSharedABBranch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-320.0, 300.0), min_size=1, max_size=40))
+    def test_equals_separate_formulas_bitwise(self, log_ratios):
+        # T / omega log-uniform in [1e-320, 1e300]; Python floats divide 1 / 1e-320
+        # to inf quietly, which is the frozen limit x = inf.
+        xs = [1.0 / 10.0 ** u for u in log_ratios]
+        inputs = [amplitudes_at(np.array(xs))] + [amplitudes_at(x) for x in xs]
+        for pair in ("AB", "ABbar"):
+            for a in inputs:
+                rep = closed_form_report_from_amplitudes(a, pair)
+                want, branch = separate_ab_abbar(a, pair)
+                assert np.array_equal(bits(report_fields(rep)), bits(want)), pair
+                assert (rep.ent.branch_ab, rep.ent.branch_ba) == (branch, branch), pair
+
+
 class TestExtremeRatios:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-320.0, 300.0))
@@ -215,9 +259,24 @@ class TestCriticalTemperatures:
             assert p2.numeric == pytest.approx(2.0 * p1.numeric, rel=1e-9)
 
     def test_rejects_bad_omega(self):
-        for omega in (-1.0, math.inf, math.nan):
+        # The last three put an end of the scan grid [1e-3, 1e4] * omega at
+        # inf or 0.
+        for omega in (-1.0, math.inf, math.nan, 1e305, 5e-324, 1e-321):
             with pytest.raises(ValueError, match="omega"):
                 critical_temperatures(omega)
+
+    def test_bracket_failures_are_reported(self, monkeypatch):
+        # No steerability reaches 2, so nothing crosses the level: each birth
+        # and the death report their bracket failure, while the peak is found.
+        monkeypatch.setattr(hawking, "BIRTH_EPS", 2.0)
+        ct = critical_temperatures(1.0)
+        for pt in ct.points():
+            kind = pt.name.split("_")[1]
+            if kind == "peak":
+                assert pt.error is None and pt.discrepancy <= 1e-6 * pt.closed_form
+                continue
+            assert pt.error == f"bracket failure: no {kind} in [1e-3, 1e4] * omega=1.0"
+            assert math.isnan(pt.numeric) and pt.discrepancy is None, pt
 
 
 class TestMonogamy:
