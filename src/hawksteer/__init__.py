@@ -1,42 +1,3 @@
 """Fermionic EPR-steering measures for two-qubit X-states under Hawking radiation."""
 
-from .hawking import (
-    BipartitionReport,
-    CriticalTemperatures,
-    HawkingAmplitudes,
-    HawkingParams,
-    MonogamyResiduals,
-    amplitudes,
-    closed_form_report,
-    critical_temperatures,
-    monogamy_residuals,
-    pipeline_report,
-    tripartite_state,
-)
-from .qstate import (
-    BlochXCoefficients,
-    DenseState,
-    InvalidStateError,
-    TwoQubitXState,
-    bloch_coefficients,
-    embed_dense,
-    extract_xstate,
-    partial_trace,
-    validate_xstate,
-)
-from .steering_ent import (
-    EntSteeringReport,
-    concurrence_oracle,
-    concurrence_xstate,
-    steerability_ent,
-    tau_states,
-    witness_thresholds,
-)
-from .steering_entropy import (
-    EntropySteeringReport,
-    entropy_sum_closed_form,
-    entropy_sum_oracle,
-    steerability_entropy,
-)
-
 __version__ = "0.1.0"

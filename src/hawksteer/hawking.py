@@ -336,7 +336,7 @@ def _measure(rep: BipartitionReport, attr: str):
 
 def monogamy_threshold(omega: float) -> float:
     """omega / ln(sqrt 3): ABbar's B->A witness steering is born, r3 and r4 apply above."""
-    return omega / math.log(math.sqrt(3.0))
+    return omega / math.log(SQRT3)
 
 
 #: The five critical points, in CriticalTemperatures field order: name,
@@ -346,8 +346,8 @@ _CRITICAL_POINTS = (
     ("t_birth_entropy_a_to_abar", "ABbar", "s_ab", "birth", None),
     ("t_birth_entropy_abar_to_a", "ABbar", "s_ba", "birth", None),
     ("t_birth_ent_abar_to_a", "ABbar", "t_ba", "birth", monogamy_threshold),
-    ("t_peak_bbbar", "BBbar", "t_ab", "peak", lambda w: w / math.log(2.0 + math.sqrt(3.0))),
-    ("t_death_bbbar", "BBbar", "t_ab", "death", lambda w: -w / math.log(math.sqrt(3.0) - 1.0)),
+    ("t_peak_bbbar", "BBbar", "t_ab", "peak", lambda w: w / math.log(2.0 + SQRT3)),
+    ("t_death_bbbar", "BBbar", "t_ab", "death", lambda w: -w / math.log(SQRT3 - 1.0)),
 )
 
 
@@ -359,7 +359,9 @@ def critical_temperatures(omega: float) -> CriticalTemperatures:
     columns and refines it with the kernel at single temperatures.
     """
     require_positive("omega", omega)
-    require_positive("1e-3 * omega", 1e-3 * omega)  # the ends of the scan grid
+    # The low end of the scan grid is 1e-3 * omega and the bisection's
+    # xtol is 1e-12 * omega: both must stay positive, so check the smaller.
+    require_positive("1e-12 * omega", 1e-12 * omega)
     require_positive("1e4 * omega", 1e4 * omega)
     grid = np.geomspace(1e-3 * omega, 1e4 * omega, 600)
     cols = amplitudes_at(omega / grid)

@@ -12,6 +12,7 @@ lexicographic index 4a + 2b + c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,10 @@ class TwoQubitXState:
     Populations p11..p44 sit on the diagonal in the |00>,|01>,|10>,|11>
     basis; c14 couples |00><->|11| and c23 couples |01><->|10|.
     Populations in [-POP_CLAMP, 0) are treated as float noise and
-    clamped to zero at construction.
+    clamped to zero at construction.  The state is then checked (unit
+    trace, no negative population, both 2x2 blocks PSD); a violation,
+    NaN included, raises InvalidStateError listing every diagnostic with
+    its residual.
     """
 
     p11: float
@@ -55,6 +59,21 @@ class TwoQubitXState:
             v = getattr(self, name)
             if -POP_CLAMP <= v < 0.0:
                 object.__setattr__(self, name, 0.0)
+        # Each test is written "not ok" so that a NaN fails it.
+        diags = []
+        tr = self.p11 + self.p22 + self.p33 + self.p44
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            diags.append(f"trace != 1: residual {tr - 1.0:.3e}")
+        for name, v in zip(("p11", "p22", "p33", "p44"), self.populations):
+            if not v >= -POP_CLAMP:
+                diags.append(f"negative population {name}: {v:.3e}")
+        for c, a, b in (("c14", "p11", "p44"), ("c23", "p22", "p33")):
+            v = getattr(self, c)
+            lim = math.sqrt(max(getattr(self, a), 0.0) * max(getattr(self, b), 0.0))
+            if not abs(v) <= lim + POP_CLAMP:
+                diags.append(f"PSD block violated: |{c}| > sqrt({a}*{b}) by {abs(v) - lim:.3e}")
+        if diags:
+            raise InvalidStateError("; ".join(diags))
 
     @property
     def populations(self) -> tuple[float, float, float, float]:
@@ -88,6 +107,8 @@ class DenseState:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4, 8):
             raise InvalidStateError(f"invalid input state: shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidStateError("invalid input state: non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise InvalidStateError("invalid input state: not Hermitian")
         tr = np.trace(m)
@@ -101,37 +122,6 @@ class DenseState:
         return self.matrix.shape[0]
 
 
-def validate_xstate(s: TwoQubitXState) -> list[str]:
-    """Check the X-state invariants; return a list of diagnostics (empty = ok).
-
-    Each diagnostic names the violated invariant and its residual.
-    """
-    diags = []
-    tr = s.p11 + s.p22 + s.p33 + s.p44
-    if abs(tr - 1.0) > TRACE_TOL:
-        diags.append(f"trace != 1: residual {tr - 1.0:.3e}")
-    for name, v in zip(("p11", "p22", "p33", "p44"), s.populations):
-        if v < -POP_CLAMP:
-            diags.append(f"negative population {name}: {v:.3e}")
-    # PSD of the two 2x2 blocks.
-    lim14 = np.sqrt(max(s.p11, 0.0) * max(s.p44, 0.0))
-    if abs(s.c14) > lim14 + POP_CLAMP:
-        diags.append(
-            f"PSD block violated: |c14| > sqrt(p11*p44) by {abs(s.c14) - lim14:.3e}")
-    lim23 = np.sqrt(max(s.p22, 0.0) * max(s.p33, 0.0))
-    if abs(s.c23) > lim23 + POP_CLAMP:
-        diags.append(
-            f"PSD block violated: |c23| > sqrt(p22*p33) by {abs(s.c23) - lim23:.3e}")
-    return diags
-
-
-def require_valid(s: TwoQubitXState) -> TwoQubitXState:
-    diags = validate_xstate(s)
-    if diags:
-        raise InvalidStateError("; ".join(diags))
-    return s
-
-
 def bloch_coefficients(s: TwoQubitXState) -> BlochXCoefficients:
     """Map an X-state to its (c1, c2, c3, p, q) parameterization.
 
@@ -139,7 +129,6 @@ def bloch_coefficients(s: TwoQubitXState) -> BlochXCoefficients:
     p = p11 + p22 - p33 - p44 (first-qubit z-polarization),
     q = p11 - p22 + p33 - p44 (second-qubit z-polarization).
     """
-    require_valid(s)
     # Grouped so that exchanging the two qubits maps p <-> q bit-exactly.
     return BlochXCoefficients(
         c1=2.0 * (s.c14 + s.c23),
@@ -152,7 +141,6 @@ def bloch_coefficients(s: TwoQubitXState) -> BlochXCoefficients:
 
 def embed_dense(s: TwoQubitXState) -> DenseState:
     """Embed an X-state into a dense 4x4 matrix."""
-    require_valid(s)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = s.populations
     m[0, 3] = m[3, 0] = s.c14

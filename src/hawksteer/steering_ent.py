@@ -14,13 +14,14 @@ for that direction carries +Q_b, the A -> B one carries -Q_b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DenseState, InvalidStateError, TwoQubitXState, require_valid
+from .qstate import DenseState, InvalidStateError, TwoQubitXState
 
-SQRT3 = np.sqrt(3.0)
+SQRT3 = math.sqrt(3.0)
 
 BRANCH_CORNER = "corner"  # driven by c14, the |00><11| coherence
 BRANCH_INNER = "inner"    # driven by c23, the |01><10| coherence
@@ -49,12 +50,8 @@ class EntSteeringReport:
 
 def concurrence_xstate(s: TwoQubitXState) -> float:
     """Concurrence of an X-state: 2 max{|c14| - sqrt(p22 p33), |c23| - sqrt(p11 p44), 0}."""
-    require_valid(s)
-    return 2.0 * max(
-        abs(s.c14) - np.sqrt(max(s.p22, 0.0) * max(s.p33, 0.0)),
-        abs(s.c23) - np.sqrt(max(s.p11, 0.0) * max(s.p44, 0.0)),
-        0.0,
-    )
+    return 2.0 * max(abs(s.c14) - np.sqrt(s.p22 * s.p33),
+                     abs(s.c23) - np.sqrt(s.p11 * s.p44), 0.0)
 
 
 def concurrence_oracle(d: DenseState) -> float:
@@ -83,7 +80,6 @@ def concurrence_oracle(d: DenseState) -> float:
 
 def witness_thresholds(s: TwoQubitXState) -> WitnessThresholds:
     """The three population combinations entering the witness inequalities."""
-    require_valid(s)
     # Population products are grouped so exchanging the qubits (which
     # swaps p22 <-> p33) leaves qa, qc bit-identical and negates qb.
     corner, inner = s.p11 * s.p44, s.p22 * s.p33
@@ -123,7 +119,6 @@ def tau_states(s: TwoQubitXState) -> tuple[TwoQubitXState, TwoQubitXState]:
     steer A.  tau2 uses I/2 x rho_B and witnesses A steering B.  Both
     stay in X form; only diagonals shift.
     """
-    require_valid(s)
     k = 1.0 / SQRT3
     w = (3.0 - SQRT3) / 6.0
     # Marginal populations: rho_A diag = (p11+p22, p33+p44); rho_B = (p11+p33, p22+p44).

@@ -163,9 +163,11 @@ class TestCritical:
         assert any("t_peak_bbbar" in line for line in lines)
 
     def test_rejects_bad_omega(self, capsys):
-        # The last three put an end of the scan grid [1e-3, 1e4] * omega at
-        # inf or 0.
-        for omega in ("-1", "inf", "nan", "1e305", "5e-324", "1e-321"):
+        # 1e305, 5e-324 and 1e-321 put an end of the scan grid [1e-3, 1e4] * omega
+        # at inf or 0; 2.4e-312 and 1e-320 keep the grid positive, but the
+        # bisection's xtol 1e-12 * omega underflows to 0.
+        for omega in ("-1", "inf", "nan", "1e305", "5e-324", "1e-321", "2.4e-312",
+                      "1e-320"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a warning fails the call
                 assert main(["critical", "--omega", omega]) == 2

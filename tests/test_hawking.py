@@ -259,9 +259,10 @@ class TestCriticalTemperatures:
             assert p2.numeric == pytest.approx(2.0 * p1.numeric, rel=1e-9)
 
     def test_rejects_bad_omega(self):
-        # The last three put an end of the scan grid [1e-3, 1e4] * omega at
-        # inf or 0.
-        for omega in (-1.0, math.inf, math.nan, 1e305, 5e-324, 1e-321):
+        # 1e305, 5e-324 and 1e-321 put an end of the scan grid [1e-3, 1e4] * omega
+        # at inf or 0; 2.4e-312 and 1e-320 keep the grid positive, but the
+        # bisection's xtol 1e-12 * omega underflows to 0.
+        for omega in (-1.0, math.inf, math.nan, 1e305, 5e-324, 1e-321, 2.4e-312, 1e-320):
             with pytest.raises(ValueError, match="omega"):
                 critical_temperatures(omega)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from hawksteer.qstate import (
     embed_dense,
     extract_xstate,
     partial_trace,
-    validate_xstate,
 )
 
 BELL = TwoQubitXState(0.5, 0.0, 0.0, 0.5, c14=0.5, c23=0.0)
@@ -38,27 +38,46 @@ def valid_xstates():
 
 
 class TestValidation:
+    """The X-state invariant is checked once, when the state is built."""
+
     def test_bell_ok(self):
-        assert validate_xstate(BELL) == []
+        assert TwoQubitXState(*BELL.populations, c14=BELL.c14, c23=BELL.c23) == BELL
 
     def test_negative_population(self):
-        s = TwoQubitXState(1.1, -0.1, 0.0, 0.0, 0.0, 0.0)
-        diags = validate_xstate(s)
-        assert any("negative population" in d for d in diags)
+        with pytest.raises(InvalidStateError, match="negative population p22"):
+            TwoQubitXState(1.1, -0.1, 0.0, 0.0, 0.0, 0.0)
 
     def test_psd_block_violation(self):
-        s = TwoQubitXState(0.5, 0.0, 0.0, 0.5, c14=0.6, c23=0.0)
-        diags = validate_xstate(s)
-        assert any("PSD block violated" in d and "c14" in d for d in diags)
+        with pytest.raises(InvalidStateError, match=r"PSD block violated: \|c14\|"):
+            TwoQubitXState(0.5, 0.0, 0.0, 0.5, c14=0.6, c23=0.0)
 
     def test_trace_violation(self):
-        s = TwoQubitXState(0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
-        assert any("trace" in d for d in validate_xstate(s))
+        with pytest.raises(InvalidStateError, match="trace != 1"):
+            TwoQubitXState(0.5, 0.5, 0.5, 0.0, 0.0, 0.0)
 
     def test_noise_population_clamped(self):
         s = TwoQubitXState(0.5 + 5e-13, 0.0, -5e-13, 0.5, 0.0, 0.0)
         assert s.p33 == 0.0
-        assert validate_xstate(s) == []
+
+    def test_nan_in_any_field_rejected(self):
+        fields = ("p11", "p22", "p33", "p44", "c14", "c23")
+        for name in fields:
+            values = dict(zip(fields, (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)))
+            values[name] = math.nan
+            with pytest.raises(InvalidStateError) as info:
+                TwoQubitXState(**values)
+            assert name in str(info.value), name
+
+    def test_replace_revalidates(self):
+        with pytest.raises(InvalidStateError, match="c14"):
+            dataclasses.replace(BELL, c14=0.6)
+
+    def test_all_diagnostics_in_order(self):
+        with pytest.raises(InvalidStateError) as info:
+            TwoQubitXState(0.6, 0.0, 0.0, 0.6, c14=0.7, c23=0.0)
+        assert str(info.value) == (
+            "trace != 1: residual 2.000e-01; "
+            "PSD block violated: |c14| > sqrt(p11*p44) by 1.000e-01")
 
 
 class TestBloch:
@@ -182,6 +201,13 @@ class TestDenseState:
     def test_rejects_bad_trace(self):
         with pytest.raises(InvalidStateError, match="trace"):
             DenseState(np.eye(4) / 2)
+
+    def test_rejects_non_finite_entry(self):
+        one_nan = np.eye(4) / 4
+        one_nan[0, 0] = math.nan
+        for m in (one_nan, np.full((4, 4), math.nan)):
+            with pytest.raises(InvalidStateError, match="non-finite entry"):
+                DenseState(m)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([0.6, 0.6, -0.1, -0.1])
