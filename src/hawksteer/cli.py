@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import operator
 import sys
 
 from . import selfcheck as selfcheck_mod
@@ -91,34 +92,45 @@ def cmd_monogamy(args) -> int:
     return 0 if all(r["status"] == "pass" for r in rows) else 1
 
 
+def _read_columns(path: str, pair: str
+                  ) -> tuple[tuple[str, ...], list[tuple[str, tuple[str, ...]]]]:
+    """The t_over_omega cells and the pair's present (field, cells) curve columns.
+
+    One streaming pass over the CSV keeps only the picked cells of each row.
+    Blank lines are skipped, as csv.DictReader does; every short row is refused.
+    """
+    fields = [f for f in PAIR_FIELDS if f != "concurrence"]  # the steerability curves
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}
+            present = [f for f in fields if f"{pair}_{f}" in column]
+            if not present:
+                raise ValueError(f"missing columns for pair {pair} in {path}")
+            if "t_over_omega" not in column:
+                raise ValueError(f"missing column t_over_omega in {path}")
+            pick = operator.itemgetter(column["t_over_omega"],
+                                       *(column[f"{pair}_{f}"] for f in present))
+            picked = []
+            for row in reader:
+                if len(row) >= len(header):
+                    picked.append(pick(row))
+                elif row:  # a blank line is skipped
+                    raise ValueError(f"data row {len(picked) + 1} of {path} has {len(row)} "
+                                     f"cells, the header has {len(header)}")
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    x, *cells = zip(*picked) if picked else [()] * (1 + len(present))
+    return x, list(zip(present, cells))
+
+
 def cmd_plot(args) -> int:
     pair = _PANEL_PAIR[args.panel]
-    with open(args.sweep_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]  # skips blank lines, as csv.DictReader does
-    column = {name: i for i, name in enumerate(header)}
-    fields = [f for f in PAIR_FIELDS if f != "concurrence"]  # the steerability curves
-    needed = [f"{pair}_{f}" for f in fields]
-    if not any(col in column for col in needed):
-        raise ValueError(f"missing columns for pair {pair} in {args.sweep_csv}")
-    if "t_over_omega" not in column:
-        raise ValueError(f"missing column t_over_omega in {args.sweep_csv}")
-    short = next((i for i, row in enumerate(rows) if len(row) < len(header)), None)
-    if short is not None:
-        raise ValueError(f"data row {short + 1} of {args.sweep_csv} has {len(rows[short])} "
-                         f"cells, the header has {len(header)}")
-    j = column["t_over_omega"]
-    x = [float(row[j]) for row in rows]
-    curves = []
-    for field, col in zip(fields, needed):
-        if col not in column:
-            continue
-        j = column[col]
-        cells = [row[j] for row in rows]
-        if "" in cells:
-            continue  # measure not selected in the sweep
-        curves.append((field, list(map(float, cells))))
+    x, columns = _read_columns(args.sweep_csv, pair)
+    x = list(map(float, x))
+    curves = [(field, list(map(float, cells))) for field, cells in columns
+              if "" not in cells]  # an empty cell: measure not selected in the sweep
     if not curves:
         raise ValueError(f"no populated curves for pair {pair} in {args.sweep_csv}")
     svg = render_lineplot(x, curves, xlabel="T/ω", ylabel="steerability",

@@ -8,15 +8,21 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hawksteer import selfcheck, steering_ent, steering_entropy
+from hawksteer import cli, selfcheck, steering_ent, steering_entropy
 from hawksteer.cli import main
 from hawksteer.hawking import MonogamyResiduals, pipeline_report
 from hawksteer.selfcheck import MONOGAMY_TOL, ORACLE_TOL, PIPELINE_TOL
+from hawksteer.svgplot import render_lineplot
+from hawksteer.sweep import SweepConfig, render_table, run_sweep, to_csv, to_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEP = [
@@ -25,6 +31,10 @@ GOLDEN_SWEEP = [
     "--measures", "both",
 ]
 GOLDEN_CRITICAL_OMEGAS = ("1e-3", "0.37", "1", "2", "7.5", "1e3")
+
+
+# A 2,000-row log sweep, the input of the memory guards.
+MEMORY_SWEEP = SweepConfig(omega=1.0, t_min=1e-3, t_max=1e3, steps=2000, grid="log")
 
 
 def run_cli(args, env_extra=None, text=True):
@@ -104,6 +114,79 @@ class TestSweep:
         assert main(["sweep", "--t-min", "2", "--t-max", "1",
                      "--steps", "5"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def peak_allocation(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# JSON cells as sweep, critical and monogamy rows hold them, and the edge
+# cases of the encoder: non-finite and subnormal floats, -0.0, float
+# subclasses, and strings that need escaping.
+JSON_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+    st.floats().map(np.float64),
+    st.none(),
+    st.text(st.sampled_from('a"\\/ω😀\x00\n\t\ud800,:'), max_size=6),
+)
+
+
+@st.composite
+def json_tables(draw):
+    """(rows, cols): rows over the same keys, maybe with a key not in cols,
+    as monogamy's rows carry `threshold`."""
+    cols = draw(st.lists(st.text(st.sampled_from('ab"\\ω_'), max_size=4),
+                         max_size=4, unique=True))
+    keys = cols + draw(st.sampled_from([[], ["threshold"]]))
+    rows = draw(st.lists(st.lists(JSON_CELLS, min_size=len(keys), max_size=len(keys)),
+                         max_size=4))
+    return [dict(zip(keys, row)) for row in rows], cols
+
+
+class TestJson:
+    @settings(max_examples=100, deadline=None)
+    @given(json_tables())
+    @example(([], []))
+    @example(([{"t": 1.0, "threshold": math.nan, "status": "pass"}], ["t", "status"]))
+    def test_same_bytes_as_json_dumps(self, table):
+        rows, cols = table
+        assert render_table(rows, cols, "json") == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("measures", ["both", "ent"])
+    def test_large_sweep_same_bytes_as_json_dumps(self, measures):
+        # 10^4 rows from T = 0 (the frozen limit); "ent" leaves null cells.
+        cfg = SweepConfig(omega=1.0, t_min=0.0, t_max=10.0, steps=10_000, measures=measures)
+        records = run_sweep(cfg)
+        assert to_json(cfg, records) == json.dumps(records, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--omega", "0.37"],
+        ["monogamy", "--t-values", "0.5,1,2,100"],
+    ])
+    def test_commands_same_bytes_as_json_dumps(self, argv, monkeypatch, capsys):
+        tables = []
+
+        def spy(rows, *args, **kwargs):
+            tables.append(rows)
+            return render_table(rows, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_table", spy)
+        assert main(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(tables[0], indent=2) + "\n"
+
+    def test_writer_memory_bounded_by_its_text(self):
+        # json.dumps(indent=2) peaks at ~5.8x the text it returns.
+        records = run_sweep(MEMORY_SWEEP)
+        text, peak = peak_allocation(to_json, MEMORY_SWEEP, records)
+        assert peak <= 3 * len(text), peak / len(text)
 
 
 class TestBoundaries:
@@ -263,11 +346,62 @@ class TestPlot:
         assert capsys.readouterr().err == (f"error: data row 3 of {bad} has 23 cells, "
                                            "the header has 24\n")
 
+    def test_short_row_between_blank_lines(self, tmp_path, capsys):
+        # Blank lines are skipped and not counted: the short row is data row 3.
+        lines = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "short.csv"
+        bad.write_text(lines[0] + "\n" + lines[1] + "\n\n" + lines[2] + "\n"
+                       + ",".join(lines[3].split(",")[:5]) + "\n" + "".join(lines[4:]))
+        assert main(["plot", str(bad), "--panel", "fig3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: data row 3 of {bad} has 5 cells, the header has 24\n"
+
     def test_header_only(self, tmp_path, capsys):
         header = tmp_path / "header.csv"
         header.write_text((DATA / "golden_sweep.csv").read_text().splitlines()[0] + "\n")
         assert main(["plot", str(header), "--panel", "fig3"]) == 2
-        assert capsys.readouterr().err == "error: nothing to plot\n"
+        assert capsys.readouterr() == ("", "error: nothing to plot\n")
+
+    def test_oversized_field(self, tmp_path, capsys):
+        # A cell over the csv module's field limit (131,072 characters).
+        lines = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "huge.csv"
+        bad.write_text("".join(lines[:3]) + '"' + "1" * 140_000 + '"'
+                       + lines[3][lines[3].index(","):] + "".join(lines[4:]))
+        assert main(["plot", str(bad), "--panel", "fig3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}, line 4: ")
+        assert "field limit" in captured.err
+
+    @pytest.mark.parametrize("measures", ["entropy", "ent"])
+    def test_deselected_measure_plots_the_rest(self, measures, tmp_path):
+        # The deselected measure's columns are empty and not drawn.  The
+        # reference reads the CSV with csv.DictReader and renders directly.
+        src, out = tmp_path / "s.csv", tmp_path / "s.svg"
+        assert main(["sweep", "--t-min", "0.01", "--t-max", "10", "--steps", "50",
+                     "--measures", measures, "-o", str(src)]) == 0
+        assert main(["plot", str(src), "--panel", "fig2", "-o", str(out)]) == 0
+        with open(src, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        prefix = "s_" if measures == "entropy" else "t_"
+        curves = [(f, [float(r[f"ABbar_{f}"]) for r in rows])
+                  for f in ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta")
+                  if f.startswith(prefix)]
+        want = render_lineplot([float(r["t_over_omega"]) for r in rows], curves,
+                               xlabel="T/ω", ylabel="steerability", title="fig2: pair ABbar")
+        assert out.read_bytes() == want.encode("utf-8")
+
+    def test_memory_bounded_by_the_csv(self, tmp_path):
+        # Reading every cell of every row peaked at ~7.7x the file's size.
+        # fig1 peaks highest of the three panels (~4.0x; fig3 ~3.3x).
+        src = tmp_path / "s.csv"
+        src.write_text(to_csv(MEMORY_SWEEP, run_sweep(MEMORY_SWEEP)))
+        status, peak = peak_allocation(
+            main, ["plot", str(src), "--panel", "fig1", "-o", str(tmp_path / "p.svg")])
+        assert status == 0
+        assert peak <= 5 * src.stat().st_size, peak / src.stat().st_size
 
     def test_csv_dialect_variants_plot_the_same(self, tmp_path):
         text = (DATA / "golden_sweep.csv").read_text()
