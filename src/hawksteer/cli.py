@@ -18,7 +18,7 @@ from .hawking import (
     PAIRS,
     HawkingParams,
     critical_temperatures,
-    monogamy_residuals,
+    monogamy_grid,
     monogamy_threshold,
 )
 from .selfcheck import MONOGAMY_TOL
@@ -72,16 +72,18 @@ def cmd_critical(args) -> int:
 
 def cmd_monogamy(args) -> int:
     threshold = monogamy_threshold(args.omega)
-    rows = []
+    params = []
     for entry in args.t_values.split(","):
         try:
             t = float(entry)
         except ValueError:
             raise ValueError(f"--t-values entry {entry!r} is not a number") from None
-        res = monogamy_residuals(HawkingParams(t, args.omega))
+        params.append(HawkingParams(t, args.omega))
+    rows = []
+    for p, res in zip(params, monogamy_grid(params)):
         ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
         rows.append({
-            "temperature": t,
+            "temperature": p.temperature,
             "threshold": threshold,
             "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,
             "status": "pass" if ok else "fail",

@@ -18,12 +18,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import steering_ent, steering_entropy
-from .qstate import DenseState, TwoQubitXState, partial_trace
+from .qstate import DenseState, TwoQubitXState, partial_trace, partial_traces
 from .steering_ent import BRANCH_CORNER, BRANCH_INNER, SQRT3, EntSteeringReport
 from .steering_entropy import EntropySteeringReport, keep_above
 
@@ -102,21 +103,30 @@ def amplitudes(p: HawkingParams) -> HawkingAmplitudes:
     return amplitudes_at(float(p.omega) / float(p.temperature))
 
 
+def tripartite_states(a: HawkingAmplitudes) -> DenseState:
+    """Pure three-mode density matrix (1/2) v v^T with v = C|000> + S|011> + |110>.
+
+    One 8x8 matrix at float (C, S); at float64 columns an (N, 8, 8)
+    stack, validated as one.
+    """
+    c = np.asarray(a.c_amp)
+    v = np.zeros(c.shape + (8,))
+    v[..., 0b000] = c
+    v[..., 0b011] = a.s_amp
+    v[..., 0b110] = 1.0
+    return DenseState(v[..., :, None] * v[..., None, :] / 2.0)
+
+
 # Callers ask for the three pairs at one temperature back to back, so a few
 # remembered states serve them; the bound keeps a long temperature grid
 # from holding more matrices than that.
 @functools.lru_cache(maxsize=8)
 def tripartite_state(a: HawkingAmplitudes) -> DenseState:
-    """Pure three-mode density matrix (1/2) v v^T with v = C|000> + S|011> + |110>.
+    """tripartite_states at one float (C, S), remembered for the last few pairs.
 
-    Remembered per (C, S) for the last few amplitude pairs; the matrix is
-    shared between callers and therefore read-only.
+    The matrix is shared between callers and therefore read-only.
     """
-    v = np.zeros(8)
-    v[0b000] = a.c_amp
-    v[0b011] = a.s_amp
-    v[0b110] = 1.0
-    d = DenseState(np.outer(v, v) / 2.0)
+    d = tripartite_states(a)
     d.matrix.flags.writeable = False
     return d
 
@@ -211,6 +221,15 @@ def closed_form_report_from_amplitudes(a: HawkingAmplitudes, pair: str) -> Bipar
     return BipartitionReport(pair=pair, entropy=entropy, ent=ent, concurrence=conc)
 
 
+def _measures(pair: str, reduced: TwoQubitXState) -> BipartitionReport:
+    return BipartitionReport(
+        pair=pair,
+        entropy=steering_entropy.steerability_entropy(reduced),
+        ent=steering_ent.steerability_ent(reduced),
+        concurrence=steering_ent.concurrence_xstate(reduced),
+    )
+
+
 def pipeline_report(p: HawkingParams, pair: str) -> BipartitionReport:
     """Generic path: three-mode matrix -> partial trace -> steering measures.
 
@@ -219,13 +238,20 @@ def pipeline_report(p: HawkingParams, pair: str) -> BipartitionReport:
     """
     if pair not in PAIRS:
         raise ValueError(f"unknown pair: {pair!r}")
-    reduced = partial_trace(tripartite_state(amplitudes(p)), _KEPT[pair])
-    return BipartitionReport(
-        pair=pair,
-        entropy=steering_entropy.steerability_entropy(reduced),
-        ent=steering_ent.steerability_ent(reduced),
-        concurrence=steering_ent.concurrence_xstate(reduced),
-    )
+    return _measures(pair, partial_trace(tripartite_state(amplitudes(p)), _KEPT[pair]))
+
+
+def pipeline_grid(params: Sequence[HawkingParams]) -> dict[str, list[BipartitionReport]]:
+    """pipeline_report at every params for every pair, from one stack of states.
+
+    The three-mode states are built and validated as one (N, 8, 8) stack,
+    and each pair is one partial trace of it; each report equals
+    pipeline_report's bit for bit.
+    """
+    x = np.array([float(p.omega) / float(p.temperature) for p in params])
+    states = tripartite_states(amplitudes_at(x))
+    return {pair: [_measures(pair, r) for r in partial_traces(states, _KEPT[pair])]
+            for pair in PAIRS}
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +436,23 @@ class MonogamyResiduals:
 
 
 def monogamy_residuals(p: HawkingParams) -> MonogamyResiduals:
-    """Evaluate the four identities from the matrix pipeline (not closed forms)."""
-    ab = pipeline_report(p, "AB")
-    abbar = pipeline_report(p, "ABbar")
-    bbbar = pipeline_report(p, "BBbar")
+    """Evaluate the four identities from the matrix pipeline (not closed forms).
+
+    One (T, omega) takes pipeline_report pair by pair: a stack of one
+    costs more than the three remembered single-matrix reductions.
+    """
+    return _residuals(p, *(pipeline_report(p, pair) for pair in PAIRS))
+
+
+def monogamy_grid(params: Sequence[HawkingParams]) -> list[MonogamyResiduals]:
+    """monogamy_residuals at every params, from one pipeline_grid."""
+    reports = pipeline_grid(params)
+    return [_residuals(*row) for row in zip(params, *(reports[pair] for pair in PAIRS))]
+
+
+def _residuals(p: HawkingParams, ab: BipartitionReport, abbar: BipartitionReport,
+               bbbar: BipartitionReport) -> MonogamyResiduals:
+    """The four residuals at p from its AB, ABbar and BBbar pipeline reports."""
     cab2 = ab.concurrence ** 2
     cabbar2 = abbar.concurrence ** 2
     cbbbar2 = bbbar.concurrence ** 2

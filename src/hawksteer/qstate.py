@@ -12,6 +12,7 @@ lexicographic index 4a + 2b + c.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +27,10 @@ XPATTERN_TOL = 1e-12
 
 MODES = ("A", "B", "Bbar")
 
-# Entries of a 4x4 matrix off the X pattern (diagonal and anti-diagonal).
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# Flat indices into a 4x4 matrix: the entries off the X pattern (diagonal
+# and anti-diagonal), and p11, p22, p33, p44, c14, c23 in TwoQubitXState order.
+_OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
+_X_FIELDS = np.array([0, 5, 10, 15, 3, 6])
 
 
 class InvalidStateError(ValueError):
@@ -98,28 +101,52 @@ class BlochXCoefficients:
 
 @dataclass(frozen=True)
 class DenseState:
-    """Validated dense density matrix of dimension 2, 4 or 8."""
+    """Validated dense density matrix of dimension 2, 4 or 8, or a stack of them.
+
+    A stack has shape (N, d, d).  It is validated as a whole, with the
+    checks, tolerances and messages of a single matrix and one eigvalsh
+    call, so a bad matrix anywhere in it raises the error that it raises
+    on its own.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        try:
+            m = np.asarray(self.matrix, dtype=complex)
+        except ValueError:  # a sequence of matrices of unequal shapes
+            shapes = [np.shape(x) for x in self.matrix]
+            bad = next((s for s in shapes if s != shapes[0] or not _square(s)), None)
+            if bad is None:
+                raise
+            raise InvalidStateError(f"invalid input state: shape {bad}") from None
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4, 8):
-            raise InvalidStateError(f"invalid input state: shape {m.shape}")
+        stacked = m.ndim == 3
+        shape = m.shape[1:] if stacked else m.shape
+        if not _square(shape):
+            raise InvalidStateError(f"invalid input state: shape {shape}")
         if not np.isfinite(m).all():
             raise InvalidStateError("invalid input state: non-finite entry")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        if abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) > HERM_TOL:
             raise InvalidStateError("invalid input state: not Hermitian")
-        tr = np.trace(m)
-        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+        tr = m.trace(axis1=-2, axis2=-1)
+        off_re, off_im = abs(tr.real - 1.0), abs(tr.imag)
+        if stacked:
+            off_re, off_im = off_re.max(initial=0.0), off_im.max(initial=0.0)
+        if off_re > TRACE_TOL or off_im > TRACE_TOL:
             raise InvalidStateError("invalid input state: trace != 1")
-        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
+        lowest = np.linalg.eigvalsh(m)[..., 0]
+        if (lowest.min(initial=0.0) if stacked else lowest) < -PSD_TOL:
             raise InvalidStateError("invalid input state: negative eigenvalue")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        """Dimension of one matrix."""
+        return self.matrix.shape[-1]
+
+
+def _square(shape: tuple[int, ...]) -> bool:
+    return len(shape) == 2 and shape[0] == shape[1] and shape[0] in (2, 4, 8)
 
 
 def bloch_coefficients(s: TwoQubitXState) -> BlochXCoefficients:
@@ -148,6 +175,19 @@ def embed_dense(s: TwoQubitXState) -> DenseState:
     return DenseState(m)
 
 
+def _xstates(m: np.ndarray) -> list[TwoQubitXState]:
+    """The X-states of a validated (N, 4, 4) stack, or the first matrix's non-X error."""
+    flat = m.reshape(-1, 16)
+    off, imag = abs(flat[:, _OFF_X]), abs(flat.imag)
+    if off.max(initial=0.0) > XPATTERN_TOL or imag.max(initial=0.0) > XPATTERN_TOL:
+        first = np.argmax((off.max(axis=1) > XPATTERN_TOL) | (imag.max(axis=1) > XPATTERN_TOL))
+        worst = off[first].max()
+        if worst > XPATTERN_TOL:
+            raise InvalidStateError(f"non-X reduction: off-pattern entry {worst:.3e}")
+        raise InvalidStateError("non-X reduction: complex entry on pattern")
+    return [TwoQubitXState(*fields) for fields in flat.real[:, _X_FIELDS]]
+
+
 def extract_xstate(d: DenseState) -> TwoQubitXState:
     """Extract the X-state from a dense 4x4 matrix.
 
@@ -155,18 +195,49 @@ def extract_xstate(d: DenseState) -> TwoQubitXState:
     the diagonal/anti-diagonal pattern, or any imaginary part on the
     pattern, exceeds XPATTERN_TOL.
     """
-    m = d.matrix
-    if d.dim != 4:
+    if d.matrix.shape != (4, 4):
         raise InvalidStateError("invalid input state: dim != 4")
-    worst = np.max(np.abs(m[_OFF_X]))
-    if worst > XPATTERN_TOL:
-        raise InvalidStateError(f"non-X reduction: off-pattern entry {worst:.3e}")
-    if np.max(np.abs(m.imag)) > XPATTERN_TOL:
-        raise InvalidStateError("non-X reduction: complex entry on pattern")
-    return TwoQubitXState(
-        p11=m[0, 0].real, p22=m[1, 1].real, p33=m[2, 2].real, p44=m[3, 3].real,
-        c14=m[0, 3].real, c23=m[1, 2].real,
-    )
+    return _xstates(d.matrix[None])[0]
+
+
+def extract_xstates(d: DenseState) -> list[TwoQubitXState]:
+    """extract_xstate for each matrix of an (N, 4, 4) stack.
+
+    A non-X matrix raises the error extract_xstate raises on it, for the
+    first such matrix in the stack.
+    """
+    if d.matrix.ndim != 3 or d.dim != 4:
+        raise InvalidStateError("invalid input state: dim != 4")
+    return _xstates(d.matrix)
+
+
+@functools.cache
+def _trace_gather(kept: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat 8x8 indices (g0, g1): the reduction to `kept` is m.flat[g0] + m.flat[g1].
+
+    gt[i, j] (4x4) indexes the entry whose kept modes carry the bits of i
+    and j, in the order of `kept`, and whose traced mode is t on both sides.
+    """
+    if len(kept) != 2 or any(k not in MODES for k in kept) or kept[0] == kept[1]:
+        raise ValueError(f"kept must be two distinct labels from {MODES}: {kept}")
+    axes = [MODES.index(k) for k in kept]
+    (traced,) = [i for i in range(3) if i not in axes]
+    shift = [2 - a for a in (*axes, traced)]  # mode 0 (A) is the high bit
+    gather = []
+    for t in (0, 1):
+        index = np.array([((i >> 1) << shift[0]) | ((i & 1) << shift[1]) | (t << shift[2])
+                          for i in range(4)])
+        gather.append(8 * index[:, None] + index[None, :])
+    return gather[0], gather[1]
+
+
+def _reduce(m: np.ndarray, kept) -> DenseState:
+    """The validated reduction to `kept` of an 8x8 matrix or an (N, 8, 8) stack."""
+    g0, g1 = _trace_gather(tuple(kept))
+    flat = m.reshape(m.shape[:-2] + (64,))
+    # The two-term sum np.trace forms, entry by entry; np.trace starts it at
+    # +0.0, which only differs for two -0.0 terms (no three-mode state has one).
+    return DenseState(flat[..., g0] + flat[..., g1])
 
 
 def partial_trace(t: DenseState, kept: tuple[str, str]) -> TwoQubitXState:
@@ -175,16 +246,13 @@ def partial_trace(t: DenseState, kept: tuple[str, str]) -> TwoQubitXState:
     The output qubit order follows the order of `kept`; the reduction
     must have the X pattern or an error is raised.
     """
-    if t.dim != 8:
+    if t.matrix.shape != (8, 8):
         raise InvalidStateError("invalid input state: dim != 8")
-    if len(kept) != 2 or any(k not in MODES for k in kept) or kept[0] == kept[1]:
-        raise ValueError(f"kept must be two distinct labels from {MODES}: {kept}")
-    axes = [MODES.index(k) for k in kept]
-    (traced,) = [i for i in range(3) if i not in axes]
-    r = t.matrix.reshape(2, 2, 2, 2, 2, 2)
-    reduced = np.trace(r, axis1=traced, axis2=traced + 3)
-    # After tracing, remaining row/col axes keep their relative mode order.
-    remaining = [i for i in range(3) if i != traced]
-    perm = [remaining.index(a) for a in axes]
-    reduced = reduced.transpose(perm + [p + 2 for p in perm]).reshape(4, 4)
-    return extract_xstate(DenseState(reduced))
+    return extract_xstate(_reduce(t.matrix, kept))
+
+
+def partial_traces(t: DenseState, kept: tuple[str, str]) -> list[TwoQubitXState]:
+    """partial_trace for each matrix of an (N, 8, 8) stack: one gather, one validation."""
+    if t.matrix.ndim != 3 or t.dim != 8:
+        raise InvalidStateError("invalid input state: dim != 8")
+    return extract_xstates(_reduce(t.matrix, kept))

@@ -15,8 +15,8 @@ from .hawking import (
     HawkingParams,
     amplitudes,
     closed_form_report,
-    monogamy_residuals,
-    pipeline_report,
+    monogamy_grid,
+    pipeline_grid,
     reduced_xstate,
 )
 from .qstate import TwoQubitXState, embed_dense, bloch_coefficients
@@ -81,13 +81,18 @@ def check_entropy_oracle(n_random: int = 1000) -> tuple[str, bool, str]:
                     "max discrepancy", diffs, ORACLE_TOL)
 
 
+def _grid_params(n_grid: int) -> list[HawkingParams]:
+    return [HawkingParams(t, 1.0) for t in grid_temperatures(n_grid)]
+
+
 def check_pipeline_equivalence(n_grid: int = 200) -> tuple[str, bool, str]:
+    params = _grid_params(n_grid)
+    reports = pipeline_grid(params)
     diffs = []
-    for t in grid_temperatures(n_grid):
-        p = HawkingParams(t, 1.0)
+    for i, p in enumerate(params):
         for pair in PAIRS:
             a = closed_form_report(p, pair)
-            b = pipeline_report(p, pair)
+            b = reports[pair][i]
             diffs += [getattr(a.entropy, f) - getattr(b.entropy, f) for f in ENTROPY_FIELDS]
             diffs += [getattr(a.ent, f) - getattr(b.ent, f) for f in ENT_FIELDS]
             diffs.append(a.concurrence - b.concurrence)
@@ -96,9 +101,7 @@ def check_pipeline_equivalence(n_grid: int = 200) -> tuple[str, bool, str]:
 
 
 def check_monogamy(n_grid: int = 200) -> tuple[str, bool, str]:
-    residuals = []
-    for t in grid_temperatures(n_grid):
-        residuals += monogamy_residuals(HawkingParams(t, 1.0)).applicable
+    residuals = [r for res in monogamy_grid(_grid_params(n_grid)) for r in res.applicable]
     return _verdict("steering/entanglement monogamy residuals",
                     "max residual", residuals, MONOGAMY_TOL)
 

@@ -64,7 +64,7 @@ def concurrence_oracle(d: DenseState) -> float:
     which is the same spectrum without the sqrt-amplified roundoff of
     the non-Hermitian product.
     """
-    if d.dim != 4:
+    if d.matrix.shape != (4, 4):  # one matrix, not a stack
         raise InvalidStateError("invalid state: need a two-qubit density matrix")
     ev, vec = np.linalg.eigh(d.matrix)
     if ev.min() < -1e-10:

@@ -117,7 +117,7 @@ def entropy_sum_oracle(d: DenseState, direction: str = A_TO_B) -> float:
     entropies H(joint) - H(conditioning marginal).  For B->A the roles
     of the two qubits are swapped.
     """
-    if d.dim != 4:
+    if d.matrix.shape != (4, 4):  # one matrix, not a stack
         raise ValueError("invalid state: need a two-qubit density matrix")
     if direction not in (A_TO_B, B_TO_A):
         raise ValueError(f"unknown direction: {direction!r}")

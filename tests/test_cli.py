@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 from hawksteer import cli, selfcheck, steering_ent, steering_entropy
 from hawksteer.cli import main
-from hawksteer.hawking import MonogamyResiduals, pipeline_report
+from hawksteer.hawking import (
+    HawkingParams,
+    MonogamyResiduals,
+    monogamy_residuals,
+    monogamy_threshold,
+    pipeline_grid,
+)
 from hawksteer.selfcheck import MONOGAMY_TOL, ORACLE_TOL, PIPELINE_TOL
 from hawksteer.svgplot import render_lineplot
 from hawksteer.sweep import SweepConfig, render_table, run_sweep, to_csv, to_json
@@ -51,15 +57,6 @@ class TestGoldenFiles:
         out = tmp_path / "sweep.csv"
         assert main(GOLDEN_SWEEP + ["-o", str(out)]) == 0
         assert out.read_bytes() == (DATA / "golden_sweep.csv").read_bytes()
-
-    def test_sweep_deterministic_across_threads(self, tmp_path):
-        golden = (DATA / "golden_sweep.csv").read_bytes()
-        for threads in ("1", "8"):
-            out = tmp_path / f"sweep_{threads}.csv"
-            r = run_cli(GOLDEN_SWEEP + ["-o", str(out)],
-                        env_extra={"HAWKSTEER_THREADS": threads})
-            assert r.returncode == 0, r.stderr
-            assert out.read_bytes() == golden
 
     def test_plot_matches_golden(self, tmp_path):
         out = tmp_path / "fig3.svg"
@@ -288,6 +285,35 @@ class TestMonogamy:
         assert main(["monogamy", "--t-values", "-1"]) == 2
         assert "temperature" in capsys.readouterr().err
 
+    def test_first_bad_entry_named(self, capsys):
+        # Every entry is parsed and validated, in order, before any is evaluated.
+        for values, err in (("1,-1,abc", "temperature must be finite and > 0, got -1.0"),
+                            ("abc,-1", "--t-values entry 'abc' is not a number")):
+            assert main(["monogamy", "--t-values", values]) == 2, values
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {err}\n"), values
+
+    @pytest.mark.parametrize("omega", [1.0, 0.37])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_bytes_as_per_temperature_path(self, omega, fmt, capsys):
+        # T at, just around and across omega / ln(sqrt 3), and T / omega at 1e-300, 1e300.
+        th = monogamy_threshold(omega)
+        temps = [th, math.nextafter(th, 0.0), math.nextafter(th, math.inf),
+                 *(float(t) for t in th * np.geomspace(0.5, 2.0, 13)),
+                 1e-300 * omega, 1e300 * omega]
+        assert main(["monogamy", "--omega", repr(omega), "--format", fmt,
+                     "--t-values", ",".join(map(repr, temps))]) == 0
+        rows = []
+        for t in temps:  # each T through the pipeline on its own
+            res = monogamy_residuals(HawkingParams(t, omega))
+            ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
+            rows.append({"temperature": t, "threshold": th,
+                         "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,
+                         "status": "pass" if ok else "fail"})
+        want = render_table(rows, ["temperature", "r1", "r2", "r3", "r4", "status"], fmt,
+                            missing="n/a (T <= omega/ln(sqrt(3)))")
+        assert capsys.readouterr().out == want
+
     def test_rejects_non_numeric_entry(self, capsys):
         for values, entry in (("", "''"), ("1,,2", "''"), ("abc", "'abc'"),
                               ("0.5,1e", "'1e'")):
@@ -470,15 +496,19 @@ class TestPlot:
 
 # For each selfcheck check, a stand-in that makes its oracle, pipeline or
 # residuals NaN: (module, attribute, replacement).
+def nan_pipeline_grid(params):
+    return {pair: [dataclasses.replace(r, concurrence=math.nan) for r in reports]
+            for pair, reports in pipeline_grid(params).items()}
+
+
 NAN_PATCHES = {
     "check_concurrence_oracle": (steering_ent, "concurrence_oracle", lambda d: math.nan),
     "check_entropy_oracle": (steering_entropy, "entropy_sum_from_oracle",
                              lambda d, direction: math.nan),
-    "check_pipeline_equivalence": (
-        selfcheck, "pipeline_report",
-        lambda p, pair: dataclasses.replace(pipeline_report(p, pair), concurrence=math.nan)),
-    "check_monogamy": (selfcheck, "monogamy_residuals",
-                       lambda p: MonogamyResiduals(r1=math.nan, r2=0.0, r3=None, r4=None)),
+    "check_pipeline_equivalence": (selfcheck, "pipeline_grid", nan_pipeline_grid),
+    "check_monogamy": (selfcheck, "monogamy_grid",
+                       lambda params: [MonogamyResiduals(r1=math.nan, r2=0.0, r3=None, r4=None)
+                                       for _ in params]),
 }
 
 
@@ -502,9 +532,16 @@ class TestSelfcheck:
         # A NaN is no discrepancy within tolerance: the check fails, and so
         # does a selfcheck run (here of that one check).
         target, name, fake = NAN_PATCHES[check]
-        monkeypatch.setattr(target, name, fake)
+        calls = []
+
+        def stand_in(*args):
+            calls.append(args)
+            return fake(*args)
+
+        monkeypatch.setattr(target, name, stand_in)
         monkeypatch.setattr(selfcheck, "ALL_CHECKS", (getattr(selfcheck, check),))
         assert main(["selfcheck"]) == 1
+        assert calls, f"{name} was patched but never called"
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2 and out[1] == "0/1 checks passed", out
         assert out[0].startswith("[FAIL] ") and out[0].endswith(" nan"), out

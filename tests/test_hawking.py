@@ -18,8 +18,10 @@ from hawksteer.hawking import (
     closed_form_report,
     closed_form_report_from_amplitudes,
     critical_temperatures,
+    monogamy_grid,
     monogamy_residuals,
     monogamy_threshold,
+    pipeline_grid,
     pipeline_report,
     tripartite_state,
 )
@@ -205,6 +207,51 @@ class TestSharedABBranch:
                 want, branch = separate_ab_abbar(a, pair)
                 assert np.array_equal(bits(report_fields(rep)), bits(want)), pair
                 assert (rep.ent.branch_ab, rep.ent.branch_ba) == (branch, branch), pair
+
+
+def field_types(values) -> tuple[type, ...]:
+    return tuple(map(type, values))
+
+
+class TestStackedPipeline:
+    """pipeline_grid and monogamy_grid against the per-state path, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 64).flatmap(
+               lambda n: st.lists(st.floats(-320.0, 300.0), min_size=n, max_size=n)),
+           st.sampled_from([1.0, 0.37, 2.5]))
+    def test_grid_equals_per_state_bitwise(self, log_ratios, omega):
+        # Stack sizes drawn uniformly from 1..64, not lists' small-biased sizes.
+        # T / omega log-uniform in [1e-320, 1e300].
+        params = [HawkingParams(omega * 10.0 ** u, omega) for u in log_ratios]
+        grid = pipeline_grid(params)
+        assert list(grid) == list(PAIRS)
+        for pair in PAIRS:
+            assert len(grid[pair]) == len(params)
+            for p, got in zip(params, grid[pair]):
+                want = pipeline_report(p, pair)
+                assert np.array_equal(bits(report_fields(got)), bits(report_fields(want)))
+                assert field_types(report_fields(got)) == field_types(report_fields(want))
+                assert (got.pair, got.ent.branch_ab, got.ent.branch_ba) == \
+                    (want.pair, want.ent.branch_ab, want.ent.branch_ba)
+                assert repr(got) == repr(want)
+        for p, got in zip(params, monogamy_grid(params)):
+            assert repr(got) == repr(monogamy_residuals(p))
+
+    def test_grid_around_threshold(self):
+        # r3 and r4 switch on just above T = omega / ln(sqrt 3).
+        for omega in (1.0, 0.37):
+            th = monogamy_threshold(omega)
+            temps = [math.nextafter(th, 0.0), th, math.nextafter(th, math.inf),
+                     *(th * np.geomspace(0.9, 1.1, 9))]
+            params = [HawkingParams(float(t), omega) for t in temps]
+            got = monogamy_grid(params)
+            assert [repr(r) for r in got] == [repr(monogamy_residuals(p)) for p in params]
+            assert [r.r3 is None for r in got] == [t <= th for t in temps]
+
+    def test_empty_grid(self):
+        assert pipeline_grid([]) == {pair: [] for pair in PAIRS}
+        assert monogamy_grid([]) == []
 
 
 class TestExtremeRatios:

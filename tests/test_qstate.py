@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,15 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawksteer.hawking import HawkingParams, amplitudes, reduced_xstate, tripartite_state
+from hawksteer import qstate
+from hawksteer.hawking import (
+    HawkingParams,
+    amplitudes,
+    amplitudes_at,
+    reduced_xstate,
+    tripartite_state,
+    tripartite_states,
+)
 from hawksteer.qstate import (
+    MODES,
     DenseState,
     InvalidStateError,
     TwoQubitXState,
     bloch_coefficients,
     embed_dense,
     extract_xstate,
+    extract_xstates,
     partial_trace,
+    partial_traces,
 )
 
 BELL = TwoQubitXState(0.5, 0.0, 0.0, 0.5, c14=0.5, c23=0.0)
@@ -213,3 +225,135 @@ class TestDenseState:
         m = np.diag([0.6, 0.6, -0.1, -0.1])
         with pytest.raises(InvalidStateError, match="eigenvalue"):
             DenseState(m)
+
+
+def bad_matrices(d: int) -> list[tuple[str, np.ndarray]]:
+    """d x d matrices, each failing one DenseState check, in check order."""
+    non_finite = np.eye(d) / d
+    non_finite[0, 1] = math.nan
+    non_hermitian = np.eye(d) / d + 0.0j
+    non_hermitian[0, 1] = 1e-6
+    negative = np.diag([0.6, 0.6, -0.1, -0.1] + [0.0] * (d - 4))
+    return [("shape", np.eye(3) / 3), ("non-finite", non_finite),
+            ("Hermitian", non_hermitian), ("trace", np.eye(d) / 2),
+            ("eigenvalue", negative)]
+
+
+def valid_stack(d: int, n: int) -> list[np.ndarray]:
+    if d == 4:
+        return [embed_dense(s).matrix for s in
+                (BELL, MIXED, TwoQubitXState(0.4, 0.1, 0.2, 0.3, c14=0.2, c23=-0.1))
+                ] * (n // 3 + 1)
+    return [tripartite_state(amplitudes(HawkingParams(t, 1.0))).matrix
+            for t in np.geomspace(0.1, 10.0, n)]
+
+
+def single_error(m) -> str:
+    with pytest.raises(InvalidStateError) as info:
+        DenseState(m)
+    return str(info.value)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def old_partial_trace_matrix(m: np.ndarray, kept) -> np.ndarray:
+    """The reshape / np.trace / transpose reduction partial_trace used to make."""
+    axes = [MODES.index(k) for k in kept]
+    (traced,) = [i for i in range(3) if i not in axes]
+    reduced = np.trace(m.reshape(2, 2, 2, 2, 2, 2), axis1=traced, axis2=traced + 3)
+    remaining = [i for i in range(3) if i != traced]
+    perm = [remaining.index(a) for a in axes]
+    return reduced.transpose(perm + [p + 2 for p in perm]).reshape(4, 4)
+
+
+class TestDenseStack:
+    """An (N, d, d) stack is validated as one, with the single-matrix messages."""
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_valid_stack(self, d):
+        stack = DenseState(np.array(valid_stack(d, 7)))
+        assert stack.matrix.shape[1:] == (d, d) and stack.dim == d
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_bad_matrix_anywhere_raises_its_own_error(self, d):
+        for (check, bad), k in itertools.product(bad_matrices(d), (0, 3, 6)):
+            want = single_error(bad)
+            assert check in want, (check, want)
+            stack = valid_stack(d, 7)[:7]
+            stack[k] = bad
+            # A bad shape cannot sit in an array: it comes as a list of matrices.
+            assert single_error(stack if check == "shape" else np.array(stack)) == want, \
+                (check, k)
+
+    def test_stack_of_bad_shape(self):
+        assert single_error(np.zeros((5, 3, 3))) == single_error(np.zeros((3, 3)))
+        assert single_error(np.zeros((2, 2, 4, 4))) == "invalid input state: shape (2, 2, 4, 4)"
+
+    def test_empty_stack(self):
+        assert extract_xstates(DenseState(np.zeros((0, 4, 4)))) == []
+        assert partial_traces(DenseState(np.zeros((0, 8, 8))), ("A", "B")) == []
+
+    def test_oracle_and_single_paths_refuse_stacks(self):
+        stack = DenseState(np.array(valid_stack(4, 3)))
+        with pytest.raises(InvalidStateError, match="dim != 4"):
+            extract_xstate(stack)
+        with pytest.raises(InvalidStateError, match="dim != 8"):
+            partial_trace(DenseState(np.array(valid_stack(8, 3))), ("A", "B"))
+        with pytest.raises(InvalidStateError, match="dim != 4"):
+            extract_xstates(DenseState(valid_stack(4, 1)[0]))
+        with pytest.raises(InvalidStateError, match="dim != 8"):
+            partial_traces(tripartite_state(amplitudes(HawkingParams(1.0, 1.0))), ("A", "B"))
+
+
+class TestStackedReduction:
+    def test_non_x_names_first_failing_matrix(self):
+        def off_pattern(v):
+            m = np.eye(4) / 4 + 0.0j
+            m[0, 1] = m[1, 0] = v
+            return m
+
+        complex_on_pattern = np.eye(4) / 4 + 0.0j
+        complex_on_pattern[0, 3], complex_on_pattern[3, 0] = 1e-6j, -1e-6j
+        off_2, off_5 = off_pattern(2e-6), off_pattern(5e-6)
+        off_2_text = "non-X reduction: off-pattern entry 2.000e-06"
+        complex_text = "non-X reduction: complex entry on pattern"
+        good = embed_dense(MIXED).matrix
+        for first, later, text in ((off_2, off_5, off_2_text),
+                                   (off_5, off_2, "non-X reduction: off-pattern entry 5.000e-06"),
+                                   (complex_on_pattern, off_5, complex_text),
+                                   (off_2, complex_on_pattern, off_2_text)):
+            with pytest.raises(InvalidStateError) as alone:
+                extract_xstate(DenseState(first))
+            assert str(alone.value) == text
+            for k in (0, 3):
+                stack = [good] * 6
+                stack[k], stack[5] = first, later
+                with pytest.raises(InvalidStateError) as got:
+                    extract_xstates(DenseState(np.array(stack)))
+                assert str(got.value) == text, k
+
+    @pytest.mark.parametrize("kept", list(itertools.permutations(MODES, 2)))
+    def test_stack_equals_one_by_one(self, kept):
+        a = amplitudes_at(1.0 / np.geomspace(1e-3, 1e3, 40))
+        stack = tripartite_states(a)
+        singles = [partial_trace(DenseState(m), kept) for m in stack.matrix]
+        got = partial_traces(stack, kept)
+        assert [dataclasses.astuple(s) for s in got] == [dataclasses.astuple(s) for s in singles]
+        assert [tuple(map(type, dataclasses.astuple(s))) for s in got] == \
+            [tuple(map(type, dataclasses.astuple(s))) for s in singles]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+    def test_gather_equals_np_trace_bitwise(self, seed, n):
+        # Random density matrices: every reduced entry, all six kept orders.
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        rho = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None].real
+        rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
+        for kept in itertools.permutations(MODES, 2):
+            want = bits(np.array([old_partial_trace_matrix(m, kept) for m in rho]))
+            assert np.array_equal(bits(qstate._reduce(rho, kept).matrix), want), kept
+            assert np.array_equal(bits(qstate._reduce(rho[0], kept).matrix), want[0]), kept
