@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import steering_ent, steering_entropy
-from .qstate import DenseState, TwoQubitXState, partial_trace, partial_traces
+from .qstate import DenseState, TwoQubitXState, partial_traces
 from .steering_ent import BRANCH_CORNER, BRANCH_INNER, SQRT3, EntSteeringReport
 from .steering_entropy import EntropySteeringReport, keep_above
 
@@ -115,20 +115,6 @@ def tripartite_states(a: HawkingAmplitudes) -> DenseState:
     v[..., 0b011] = a.s_amp
     v[..., 0b110] = 1.0
     return DenseState(v[..., :, None] * v[..., None, :] / 2.0)
-
-
-# Callers ask for the three pairs at one temperature back to back, so a few
-# remembered states serve them; the bound keeps a long temperature grid
-# from holding more matrices than that.
-@functools.lru_cache(maxsize=8)
-def tripartite_state(a: HawkingAmplitudes) -> DenseState:
-    """tripartite_states at one float (C, S), remembered for the last few pairs.
-
-    The matrix is shared between callers and therefore read-only.
-    """
-    d = tripartite_states(a)
-    d.matrix.flags.writeable = False
-    return d
 
 
 def reduced_xstate(a: HawkingAmplitudes, pair: str) -> TwoQubitXState:
@@ -230,28 +216,54 @@ def _measures(pair: str, reduced: TwoQubitXState) -> BipartitionReport:
     )
 
 
+def _reductions(a: HawkingAmplitudes) -> list[list[TwoQubitXState]]:
+    """Each pair's X-state reductions of tripartite_states(a), a at float64 columns.
+
+    One list per pair, in PAIRS order.  The three pairs come from one
+    gather of the (N, 8, 8) stack, one validation of the (3N, 4, 4)
+    result and one X-pattern check.
+    """
+    states = tripartite_states(a)
+    xs = partial_traces(states, *(_KEPT[pair] for pair in PAIRS))
+    n = len(states.matrix)
+    return [xs[k * n:(k + 1) * n] for k in range(len(PAIRS))]
+
+
+# Callers ask for the three pairs at one temperature back to back, so a few
+# remembered temperatures serve them; the bound keeps a long temperature grid
+# from holding more than that.
+@functools.lru_cache(maxsize=8)
+def reductions_at(a: HawkingAmplitudes) -> tuple[TwoQubitXState, ...]:
+    """Each pair's X-state reduction at one float (C, S), in PAIRS order.
+
+    Remembered for the last few temperatures; the states are immutable.
+    """
+    column = HawkingAmplitudes(np.array([a.c_amp]), np.array([a.s_amp]))
+    return tuple(xs[0] for xs in _reductions(column))
+
+
 def pipeline_report(p: HawkingParams, pair: str) -> BipartitionReport:
     """Generic path: three-mode matrix -> partial trace -> steering measures.
 
-    Must agree with closed_form_report field by field; the test suite
-    enforces 1e-10 on a temperature grid.
+    The three pairs' reductions at p are gathered, validated and
+    remembered together.  Must agree with closed_form_report field by
+    field; the test suite enforces 1e-10 on a temperature grid.
     """
     if pair not in PAIRS:
         raise ValueError(f"unknown pair: {pair!r}")
-    return _measures(pair, partial_trace(tripartite_state(amplitudes(p)), _KEPT[pair]))
+    return _measures(pair, reductions_at(amplitudes(p))[PAIRS.index(pair)])
 
 
 def pipeline_grid(params: Sequence[HawkingParams]) -> dict[str, list[BipartitionReport]]:
     """pipeline_report at every params for every pair, from one stack of states.
 
     The three-mode states are built and validated as one (N, 8, 8) stack,
-    and each pair is one partial trace of it; each report equals
+    and the three pairs are one partial trace of it; each report equals
     pipeline_report's bit for bit.
     """
     x = np.array([float(p.omega) / float(p.temperature) for p in params])
-    states = tripartite_states(amplitudes_at(x))
-    return {pair: [_measures(pair, r) for r in partial_traces(states, _KEPT[pair])]
-            for pair in PAIRS}
+    return {pair: [_measures(pair, r) for r in reds]
+            for pair, reds in zip(PAIRS, _reductions(amplitudes_at(x)))}
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +450,7 @@ class MonogamyResiduals:
 def monogamy_residuals(p: HawkingParams) -> MonogamyResiduals:
     """Evaluate the four identities from the matrix pipeline (not closed forms).
 
-    One (T, omega) takes pipeline_report pair by pair: a stack of one
-    costs more than the three remembered single-matrix reductions.
+    The three pipeline_reports at p share one remembered set of reductions.
     """
     return _residuals(p, *(pipeline_report(p, pair) for pair in PAIRS))
 

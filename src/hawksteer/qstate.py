@@ -200,44 +200,39 @@ def extract_xstate(d: DenseState) -> TwoQubitXState:
     return _xstates(d.matrix[None])[0]
 
 
-def extract_xstates(d: DenseState) -> list[TwoQubitXState]:
-    """extract_xstate for each matrix of an (N, 4, 4) stack.
-
-    A non-X matrix raises the error extract_xstate raises on it, for the
-    first such matrix in the stack.
-    """
-    if d.matrix.ndim != 3 or d.dim != 4:
-        raise InvalidStateError("invalid input state: dim != 4")
-    return _xstates(d.matrix)
-
-
 @functools.cache
-def _trace_gather(kept: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat 8x8 indices (g0, g1): the reduction to `kept` is m.flat[g0] + m.flat[g1].
+def _trace_gather(kept: tuple[tuple[str, str], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat 8x8 indices (g0, g1), each (K, 4, 4), for the K pairs in `kept`.
 
-    gt[i, j] (4x4) indexes the entry whose kept modes carry the bits of i
-    and j, in the order of `kept`, and whose traced mode is t on both sides.
+    The reduction to kept[k] is m.flat[g0[k]] + m.flat[g1[k]]: gt[k, i, j]
+    indexes the entry whose kept modes carry the bits of i and j, in the
+    order of kept[k], and whose traced mode is t on both sides.
     """
-    if len(kept) != 2 or any(k not in MODES for k in kept) or kept[0] == kept[1]:
-        raise ValueError(f"kept must be two distinct labels from {MODES}: {kept}")
-    axes = [MODES.index(k) for k in kept]
-    (traced,) = [i for i in range(3) if i not in axes]
-    shift = [2 - a for a in (*axes, traced)]  # mode 0 (A) is the high bit
-    gather = []
-    for t in (0, 1):
-        index = np.array([((i >> 1) << shift[0]) | ((i & 1) << shift[1]) | (t << shift[2])
-                          for i in range(4)])
-        gather.append(8 * index[:, None] + index[None, :])
-    return gather[0], gather[1]
+    gather = ([], [])
+    for pair in kept:
+        if len(pair) != 2 or any(k not in MODES for k in pair) or pair[0] == pair[1]:
+            raise ValueError(f"kept must be two distinct labels from {MODES}: {pair}")
+        axes = [MODES.index(k) for k in pair]
+        (traced,) = [i for i in range(3) if i not in axes]
+        shift = [2 - a for a in (*axes, traced)]  # mode 0 (A) is the high bit
+        for t in (0, 1):
+            index = np.array([((i >> 1) << shift[0]) | ((i & 1) << shift[1]) | (t << shift[2])
+                              for i in range(4)])
+            gather[t].append(8 * index[:, None] + index[None, :])
+    return np.array(gather[0]), np.array(gather[1])
 
 
-def _reduce(m: np.ndarray, kept) -> DenseState:
-    """The validated reduction to `kept` of an 8x8 matrix or an (N, 8, 8) stack."""
-    g0, g1 = _trace_gather(tuple(kept))
-    flat = m.reshape(m.shape[:-2] + (64,))
+def _reduce(m: np.ndarray, *kept: tuple[str, str]) -> DenseState:
+    """The validated reductions of an 8x8 matrix or an (N, 8, 8) stack to each kept pair.
+
+    One (K * N, 4, 4) stack in pair-major order: the N reductions to
+    kept[0] first.
+    """
+    g0, g1 = _trace_gather(tuple(map(tuple, kept)))
+    flat = m.reshape(-1, 64)
     # The two-term sum np.trace forms, entry by entry; np.trace starts it at
     # +0.0, which only differs for two -0.0 terms (no three-mode state has one).
-    return DenseState(flat[..., g0] + flat[..., g1])
+    return DenseState((flat[:, g0] + flat[:, g1]).swapaxes(0, 1).reshape(-1, 4, 4))
 
 
 def partial_trace(t: DenseState, kept: tuple[str, str]) -> TwoQubitXState:
@@ -248,11 +243,17 @@ def partial_trace(t: DenseState, kept: tuple[str, str]) -> TwoQubitXState:
     """
     if t.matrix.shape != (8, 8):
         raise InvalidStateError("invalid input state: dim != 8")
-    return extract_xstate(_reduce(t.matrix, kept))
+    return _xstates(_reduce(t.matrix, kept).matrix)[0]
 
 
-def partial_traces(t: DenseState, kept: tuple[str, str]) -> list[TwoQubitXState]:
-    """partial_trace for each matrix of an (N, 8, 8) stack: one gather, one validation."""
+def partial_traces(t: DenseState, *kept: tuple[str, str]) -> list[TwoQubitXState]:
+    """partial_trace of each matrix of an (N, 8, 8) stack to each kept pair.
+
+    One gather, one validation of the (K * N, 4, 4) stack and one X-pattern
+    check; the result is pair-major (the N reductions to kept[0] first),
+    and a non-X reduction raises partial_trace's error for the first one
+    in that order.
+    """
     if t.matrix.ndim != 3 or t.dim != 8:
         raise InvalidStateError("invalid input state: dim != 8")
-    return extract_xstates(_reduce(t.matrix, kept))
+    return _xstates(_reduce(t.matrix, *kept).matrix)

@@ -76,6 +76,28 @@ def _pair(c: float) -> float:
     return _xlogx(1.0 + c) + _xlogx(1.0 - c)
 
 
+def _shared_terms(b: BlochXCoefficients) -> tuple[float, float, float]:
+    """quad and the c1, c2 pairs: the terms both directions' sums share, in that order.
+
+    Evaluated before either direction's local pair, so an out-of-range
+    log argument raises for the first failing term: quad, c1, c2, p, q.
+    """
+    quad = 0.5 * math.fsum((
+        _xlogx((1.0 + b.c3) + (b.p + b.q)),
+        _xlogx((1.0 + b.c3) - (b.p + b.q)),
+        _xlogx((1.0 - b.c3) + (b.q - b.p)),
+        _xlogx((1.0 - b.c3) + (b.p - b.q)),
+    ))
+    return quad, _pair(b.c1), _pair(b.c2)
+
+
+def _entropy_sum(shared: tuple[float, float, float], local: float) -> float:
+    """The closed-form sum from the shared terms and one local polarization."""
+    # fsum keeps the result independent of term order, so exchanging the
+    # qubit roles swaps the two directions bit-exactly.
+    return math.fsum((*shared, -_pair(local)))
+
+
 def entropy_sum_closed_form(b: BlochXCoefficients, direction: str = A_TO_B) -> float:
     """Closed-form conditional-entropy combination for an X-state, in bits.
 
@@ -84,16 +106,7 @@ def entropy_sum_closed_form(b: BlochXCoefficients, direction: str = A_TO_B) -> f
     """
     if direction not in (A_TO_B, B_TO_A):
         raise ValueError(f"unknown direction: {direction!r}")
-    # fsum keeps the result independent of term order, so exchanging the
-    # qubit roles swaps the two directions bit-exactly.
-    quad = 0.5 * math.fsum((
-        _xlogx((1.0 + b.c3) + (b.p + b.q)),
-        _xlogx((1.0 + b.c3) - (b.p + b.q)),
-        _xlogx((1.0 - b.c3) + (b.q - b.p)),
-        _xlogx((1.0 - b.c3) + (b.p - b.q)),
-    ))
-    local = b.p if direction == A_TO_B else b.q
-    return math.fsum((quad, _pair(b.c1), _pair(b.c2), -_pair(local)))
+    return _entropy_sum(_shared_terms(b), b.p if direction == A_TO_B else b.q)
 
 
 #: Joint eigenprojectors (1 +/- sigma_i)/2 x (1 +/- sigma_i)/2 as a 12x4x4
@@ -188,8 +201,8 @@ def steerability_from_sum(i):
 def steerability_entropy(s: TwoQubitXState) -> EntropySteeringReport:
     """Directional steerabilities and steering asymmetry for an X-state."""
     b = bloch_coefficients(s)
-    i_ab = entropy_sum_closed_form(b, A_TO_B)
-    i_ba = entropy_sum_closed_form(b, B_TO_A)
+    shared = _shared_terms(b)
+    i_ab, i_ba = _entropy_sum(shared, b.p), _entropy_sum(shared, b.q)
     s_ab = steerability_from_sum(i_ab)
     s_ba = steerability_from_sum(i_ba)
     return EntropySteeringReport(i_ab=i_ab, i_ba=i_ba, s_ab=s_ab, s_ba=s_ba,

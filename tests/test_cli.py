@@ -265,6 +265,19 @@ class TestCritical:
         assert text == (DATA / "golden_critical.csv").read_bytes()
 
 
+def per_temperature_table(temps, omega, fmt) -> str:
+    """monogamy's output with each T through the pipeline on its own."""
+    rows = []
+    for t in temps:
+        res = monogamy_residuals(HawkingParams(t, omega))
+        ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
+        rows.append({"temperature": t, "threshold": monogamy_threshold(omega),
+                     "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,
+                     "status": "pass" if ok else "fail"})
+    return render_table(rows, ["temperature", "r1", "r2", "r3", "r4", "status"], fmt,
+                        missing="n/a (T <= omega/ln(sqrt(3)))")
+
+
 class TestMonogamy:
     def test_pass_with_na_markers(self, capsys):
         assert main(["monogamy", "--t-values", "0.5,1,100"]) == 0
@@ -303,16 +316,15 @@ class TestMonogamy:
                  1e-300 * omega, 1e300 * omega]
         assert main(["monogamy", "--omega", repr(omega), "--format", fmt,
                      "--t-values", ",".join(map(repr, temps))]) == 0
-        rows = []
-        for t in temps:  # each T through the pipeline on its own
-            res = monogamy_residuals(HawkingParams(t, omega))
-            ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
-            rows.append({"temperature": t, "threshold": th,
-                         "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,
-                         "status": "pass" if ok else "fail"})
-        want = render_table(rows, ["temperature", "r1", "r2", "r3", "r4", "status"], fmt,
-                            missing="n/a (T <= omega/ln(sqrt(3)))")
-        assert capsys.readouterr().out == want
+        assert capsys.readouterr().out == per_temperature_table(temps, omega, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_entry(self, fmt, capsys):
+        # A grid of one temperature is a stack of one, below and above the threshold.
+        for omega, t in ((1.0, 0.5), (1.0, 2.0), (0.37, 1e-300), (0.37, 1e300)):
+            assert main(["monogamy", "--omega", repr(omega), "--format", fmt,
+                         "--t-values", repr(t)]) == 0
+            assert capsys.readouterr().out == per_temperature_table([t], omega, fmt)
 
     def test_rejects_non_numeric_entry(self, capsys):
         for values, entry in (("", "''"), ("1,,2", "''"), ("abc", "'abc'"),

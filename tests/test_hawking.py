@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -12,6 +13,7 @@ from hawksteer.hawking import (
     FROZEN,
     PAIRS,
     CriticalTemperatures,
+    HawkingAmplitudes,
     HawkingParams,
     amplitudes,
     amplitudes_at,
@@ -23,10 +25,13 @@ from hawksteer.hawking import (
     monogamy_threshold,
     pipeline_grid,
     pipeline_report,
-    tripartite_state,
+    reduced_xstate,
+    reductions_at,
+    tripartite_states,
 )
-from hawksteer.steering_ent import BRANCH_CORNER, BRANCH_INNER
-from hawksteer.steering_entropy import keep_above, steerability_from_sum
+from hawksteer.qstate import partial_traces
+from hawksteer.steering_ent import BRANCH_CORNER, BRANCH_INNER, steerability_ent
+from hawksteer.steering_entropy import keep_above, steerability_entropy, steerability_from_sum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -72,27 +77,29 @@ class TestAmplitudes:
 class TestTripartiteState:
     def test_structure(self):
         a = amplitudes(HawkingParams(1.0, 1.0))
-        m = tripartite_state(a).matrix
+        m = tripartite_states(a).matrix
         assert m[0, 6].real == pytest.approx(a.c_amp / 2, abs=1e-15)
         assert m[3, 6].real == pytest.approx(a.s_amp / 2, abs=1e-15)
         assert m[6, 6].real == pytest.approx(0.5, abs=1e-15)
 
     def test_purity(self):
         for t in (0.2, 1.0, 50.0):
-            m = tripartite_state(amplitudes(HawkingParams(t, 1.0))).matrix
+            m = tripartite_states(amplitudes(HawkingParams(t, 1.0))).matrix
             assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_limit_is_bell_pair(self):
-        m = tripartite_state(FROZEN).matrix
+        m = tripartite_states(FROZEN).matrix
         expect = np.zeros((8, 8))
         for i, j in ((0, 0), (0, 6), (6, 0), (6, 6)):
             expect[i, j] = 0.5
         assert np.array_equal(m.real, expect)
 
     def test_shared_matrix_is_read_only(self):
-        m = tripartite_state(amplitudes(HawkingParams(0.7, 1.0))).matrix
-        with pytest.raises(ValueError):
-            m[0, 0] = 0.0
+        # The memo shares one temperature's reductions: a tuple of frozen states.
+        shared = reductions_at(amplitudes(HawkingParams(0.7, 1.0)))
+        assert type(shared) is tuple and len(shared) == len(PAIRS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared[0].p11 = 0.0
 
     def test_pipeline_reports_independent_of_call_order(self):
         keys = [(float(t), pair) for t in np.geomspace(0.05, 50.0, 12) for pair in PAIRS]
@@ -102,20 +109,20 @@ class TestTripartiteState:
 
         fresh = {}
         for key in keys:
-            tripartite_state.cache_clear()
+            reductions_at.cache_clear()
             fresh[key] = report(*key)
         for order in (keys, sorted(keys, key=lambda k: (k[1], k[0])), keys[::-1]):
-            tripartite_state.cache_clear()
+            reductions_at.cache_clear()
             for key in order:
                 assert np.array_equal(report(*key), fresh[key]), key
 
     def test_memo_stays_bounded(self):
-        first = tripartite_state(amplitudes(HawkingParams(0.3, 1.0)))
-        gone = weakref.ref(first)
+        first = reductions_at(amplitudes(HawkingParams(0.3, 1.0)))
+        gone = weakref.ref(first[0])
         del first
         for t in np.geomspace(1.0, 1e3, 200):
             monogamy_residuals(HawkingParams(float(t), 1.0))
-        info = tripartite_state.cache_info()
+        info = reductions_at.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
         gc.collect()
         assert gone() is None
@@ -252,6 +259,35 @@ class TestStackedPipeline:
     def test_empty_grid(self):
         assert pipeline_grid([]) == {pair: [] for pair in PAIRS}
         assert monogamy_grid([]) == []
+
+
+def directional_bits(s) -> tuple[np.ndarray, np.ndarray]:
+    """Bits of (i, s, t) for A->B and for B->A."""
+    e, t = steerability_entropy(s), steerability_ent(s)
+    return bits((e.i_ab, e.s_ab, t.t_ab)), bits((e.i_ba, e.s_ba, t.t_ba))
+
+
+class TestExchangeSymmetry:
+    """Reversing a pair's kept order swaps every directional field, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-320.0, 300.0))
+    def test_reversed_kept_order_swaps_directions(self, log_ratio):
+        # T / omega log-uniform in [1e-320, 1e300], through the pipeline's gather.
+        a = amplitudes(HawkingParams(10.0 ** log_ratio, 1.0))
+        kept = [hawking._KEPT[pair] for pair in PAIRS]
+        states = partial_traces(tripartite_states(HawkingAmplitudes(
+            np.array([a.c_amp]), np.array([a.s_amp]))), *kept, *(k[::-1] for k in kept))
+        for pair, fwd, rev in zip(PAIRS, states[:3], states[3:]):
+            assert rev == fwd.swapped(), pair
+            ab, ba = directional_bits(fwd)
+            rev_ab, rev_ba = directional_bits(rev)
+            assert np.array_equal(ab, rev_ba) and np.array_equal(ba, rev_ab), pair
+            # The closed-form reduction, exchanged, swaps the same way.
+            closed = reduced_xstate(a, pair)
+            ab, ba = directional_bits(closed)
+            rev_ab, rev_ba = directional_bits(closed.swapped())
+            assert np.array_equal(ab, rev_ba) and np.array_equal(ba, rev_ab), pair
 
 
 class TestExtremeRatios:

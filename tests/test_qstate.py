@@ -13,7 +13,6 @@ from hawksteer.hawking import (
     amplitudes,
     amplitudes_at,
     reduced_xstate,
-    tripartite_state,
     tripartite_states,
 )
 from hawksteer.qstate import (
@@ -24,13 +23,13 @@ from hawksteer.qstate import (
     bloch_coefficients,
     embed_dense,
     extract_xstate,
-    extract_xstates,
     partial_trace,
     partial_traces,
 )
 
 BELL = TwoQubitXState(0.5, 0.0, 0.0, 0.5, c14=0.5, c23=0.0)
 MIXED = TwoQubitXState(0.25, 0.25, 0.25, 0.25, c14=0.0, c23=0.0)
+THREE_PAIRS = (("A", "B"), ("A", "Bbar"), ("B", "Bbar"))
 
 
 def valid_xstates():
@@ -164,13 +163,13 @@ class TestPartialTrace:
         # 100-point grid: every reduction matches its analytic matrix.
         for t in np.geomspace(0.05, 100.0, 100):
             a = amplitudes(HawkingParams(t, 1.0))
-            got = partial_trace(tripartite_state(a), kept)
+            got = partial_trace(tripartite_states(a), kept)
             want = embed_dense(reduced_xstate(a, pair)).matrix
             assert np.max(np.abs(embed_dense(got).matrix - want)) <= 1e-12
 
     def test_trace_and_psd_preserved(self):
         for t in (0.3, 1.0, 7.0):
-            rho = tripartite_state(amplitudes(HawkingParams(t, 1.0)))
+            rho = tripartite_states(amplitudes(HawkingParams(t, 1.0)))
             for kept in (("A", "B"), ("A", "Bbar"), ("B", "Bbar")):
                 red = partial_trace(rho, kept)
                 assert sum(red.populations) == pytest.approx(1.0, abs=1e-12)
@@ -178,13 +177,13 @@ class TestPartialTrace:
                 assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
     def test_kept_order_swaps_qubits(self):
-        rho = tripartite_state(amplitudes(HawkingParams(2.0, 1.0)))
+        rho = tripartite_states(amplitudes(HawkingParams(2.0, 1.0)))
         ab = partial_trace(rho, ("A", "B"))
         ba = partial_trace(rho, ("B", "A"))
         assert ba == ab.swapped()
 
     def test_rejects_bad_labels(self):
-        rho = tripartite_state(amplitudes(HawkingParams(1.0, 1.0)))
+        rho = tripartite_states(amplitudes(HawkingParams(1.0, 1.0)))
         with pytest.raises(ValueError):
             partial_trace(rho, ("A", "A"))
         with pytest.raises(ValueError):
@@ -244,7 +243,7 @@ def valid_stack(d: int, n: int) -> list[np.ndarray]:
         return [embed_dense(s).matrix for s in
                 (BELL, MIXED, TwoQubitXState(0.4, 0.1, 0.2, 0.3, c14=0.2, c23=-0.1))
                 ] * (n // 3 + 1)
-    return [tripartite_state(amplitudes(HawkingParams(t, 1.0))).matrix
+    return [tripartite_states(amplitudes(HawkingParams(t, 1.0))).matrix
             for t in np.geomspace(0.1, 10.0, n)]
 
 
@@ -292,8 +291,9 @@ class TestDenseStack:
         assert single_error(np.zeros((2, 2, 4, 4))) == "invalid input state: shape (2, 2, 4, 4)"
 
     def test_empty_stack(self):
-        assert extract_xstates(DenseState(np.zeros((0, 4, 4)))) == []
+        assert qstate._xstates(np.zeros((0, 4, 4))) == []
         assert partial_traces(DenseState(np.zeros((0, 8, 8))), ("A", "B")) == []
+        assert partial_traces(DenseState(np.zeros((0, 8, 8))), *THREE_PAIRS) == []
 
     def test_oracle_and_single_paths_refuse_stacks(self):
         stack = DenseState(np.array(valid_stack(4, 3)))
@@ -301,10 +301,8 @@ class TestDenseStack:
             extract_xstate(stack)
         with pytest.raises(InvalidStateError, match="dim != 8"):
             partial_trace(DenseState(np.array(valid_stack(8, 3))), ("A", "B"))
-        with pytest.raises(InvalidStateError, match="dim != 4"):
-            extract_xstates(DenseState(valid_stack(4, 1)[0]))
         with pytest.raises(InvalidStateError, match="dim != 8"):
-            partial_traces(tripartite_state(amplitudes(HawkingParams(1.0, 1.0))), ("A", "B"))
+            partial_traces(tripartite_states(amplitudes(HawkingParams(1.0, 1.0))), ("A", "B"))
 
 
 class TestStackedReduction:
@@ -331,15 +329,45 @@ class TestStackedReduction:
                 stack = [good] * 6
                 stack[k], stack[5] = first, later
                 with pytest.raises(InvalidStateError) as got:
-                    extract_xstates(DenseState(np.array(stack)))
+                    qstate._xstates(np.array(stack))
                 assert str(got.value) == text, k
 
-    @pytest.mark.parametrize("kept", list(itertools.permutations(MODES, 2)))
+    def test_non_x_pair_major(self):
+        # A coherence between basis states that differ in one mode breaks the X
+        # pattern of both pairs holding that mode: a Bbar flip fails ABbar and
+        # BBbar, an A flip fails AB and ABbar.  The three pairs of a stack are
+        # checked pair-major, so the first failing matrix is the first among
+        # the AB reductions, then the ABbar ones, and so on.
+        def flip(theta, mode):
+            v = np.zeros(8)
+            v[0], v[1 << (2 - MODES.index(mode))] = math.cos(theta), math.sin(theta)
+            return np.outer(v, v)
+
+        def error(call, *args):
+            with pytest.raises(InvalidStateError) as info:
+                call(*args)
+            return str(info.value)
+
+        good = valid_stack(8, 2)
+        bbar_flip, a_flip = flip(0.3, "Bbar"), flip(0.6, "A")
+        for stack, (bad, kept) in (([*good, bbar_flip, a_flip], (a_flip, ("A", "B"))),
+                                   ([bbar_flip, *good], (bbar_flip, ("A", "Bbar"))),
+                                   ([*good, a_flip, bbar_flip], (a_flip, ("A", "B")))):
+            want = error(partial_trace, DenseState(bad), kept)
+            assert want.startswith("non-X reduction: off-pattern entry")
+            assert error(partial_traces, DenseState(np.array(stack)), *THREE_PAIRS) == want
+        # The two flips' messages differ, so the order above is really tested.
+        assert error(partial_trace, DenseState(bbar_flip), ("A", "Bbar")) != \
+            error(partial_trace, DenseState(a_flip), ("A", "B"))
+
+    # Each kept order alone, then the three pairs from one gather (pair-major).
+    @pytest.mark.parametrize("kept", [(k,) for k in itertools.permutations(MODES, 2)]
+                             + [THREE_PAIRS])
     def test_stack_equals_one_by_one(self, kept):
         a = amplitudes_at(1.0 / np.geomspace(1e-3, 1e3, 40))
         stack = tripartite_states(a)
-        singles = [partial_trace(DenseState(m), kept) for m in stack.matrix]
-        got = partial_traces(stack, kept)
+        singles = [partial_trace(DenseState(m), k) for k in kept for m in stack.matrix]
+        got = partial_traces(stack, *kept)
         assert [dataclasses.astuple(s) for s in got] == [dataclasses.astuple(s) for s in singles]
         assert [tuple(map(type, dataclasses.astuple(s))) for s in got] == \
             [tuple(map(type, dataclasses.astuple(s))) for s in singles]
@@ -353,7 +381,11 @@ class TestStackedReduction:
         rho = g @ g.conj().swapaxes(-1, -2)
         rho = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None].real
         rho = (rho + rho.conj().swapaxes(-1, -2)) / 2
-        for kept in itertools.permutations(MODES, 2):
+        orders = list(itertools.permutations(MODES, 2))
+        for kept in orders:
             want = bits(np.array([old_partial_trace_matrix(m, kept) for m in rho]))
             assert np.array_equal(bits(qstate._reduce(rho, kept).matrix), want), kept
-            assert np.array_equal(bits(qstate._reduce(rho[0], kept).matrix), want[0]), kept
+            assert np.array_equal(bits(qstate._reduce(rho[0], kept).matrix), want[:1]), kept
+        # All six orders from one gather, pair-major: kept[0]'s n reductions first.
+        want = bits(np.array([old_partial_trace_matrix(m, kept) for kept in orders for m in rho]))
+        assert np.array_equal(bits(qstate._reduce(rho, *orders).matrix), want)

@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hawksteer import steering_entropy
+from hawksteer.hawking import PAIRS, HawkingParams, amplitudes, reductions_at
 from hawksteer.qstate import TwoQubitXState, bloch_coefficients, embed_dense
 from hawksteer.selfcheck import random_xstates, reduced_state_population
 from hawksteer.steering_entropy import (
@@ -169,9 +174,89 @@ class TestSteerability:
             assert a.s_ba == pytest.approx(b.s_ba, abs=1e-12)
 
     def test_swap_symmetry(self):
-        # Exchanging the qubits maps (p, q) -> (q, p) and i_ab <-> i_ba exactly.
+        # Exchanging the qubits maps (p, q) -> (q, p), i_ab <-> i_ba and s_ab <-> s_ba exactly.
         for s in random_xstates(100):
             a = steerability_entropy(s)
             b = steerability_entropy(s.swapped())
             assert a.i_ab == b.i_ba
             assert a.i_ba == b.i_ab
+            assert a.s_ab == b.s_ba
+            assert a.s_ba == b.s_ab
+            assert a.delta == b.delta
+
+
+def old_closed_form(b, direction):
+    """One direction's sum as it was evaluated on its own, every term recomputed."""
+    xlogx, pair = steering_entropy._xlogx, steering_entropy._pair
+    quad = 0.5 * math.fsum((
+        xlogx((1.0 + b.c3) + (b.p + b.q)),
+        xlogx((1.0 + b.c3) - (b.p + b.q)),
+        xlogx((1.0 - b.c3) + (b.q - b.p)),
+        xlogx((1.0 - b.c3) + (b.p - b.q)),
+    ))
+    local = b.p if direction == A_TO_B else b.q
+    return math.fsum((quad, pair(b.c1), pair(b.c2), -pair(local)))
+
+
+def outcome(fn, *args):
+    """fn(*args) as ("value", bits) or ("error", message)."""
+    try:
+        return "value", np.array(fn(*args), dtype=np.float64).view(np.int64).tolist()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def xstates():
+    """Random, rank-deficient and boundary X-states, and pipeline reductions."""
+    def build(raw, zeros, f14, f23):
+        raw = [0.0 if z else r for r, z in zip(raw, zeros)]
+        if sum(raw) == 0.0:
+            raw[0] = 1.0
+        pops = [r / sum(raw) for r in raw]
+        return TwoQubitXState(*pops, c14=f14 * math.sqrt(pops[0] * pops[3]),
+                              c23=f23 * math.sqrt(pops[1] * pops[2]))
+
+    # +-1 puts a coherence on its PSD boundary |c14| = sqrt(p11 p44).
+    frac = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
+    pops = st.tuples(*[st.floats(1e-6, 1.0)] * 4)
+    zeros = st.one_of(st.just((False,) * 4), st.tuples(*[st.booleans()] * 4))
+    # T / omega log-uniform in [1e-320, 1e300]; below ~1e-308, omega / T is inf,
+    # the frozen limit.
+    reduction = st.builds(
+        lambda u, k: reductions_at(amplitudes(HawkingParams(10.0 ** u, 1.0)))[k],
+        st.floats(-320.0, 300.0), st.integers(0, len(PAIRS) - 1))
+    return st.one_of(st.builds(build, pops, zeros, frac, frac), reduction)
+
+
+class TestSharedTerms:
+    """Both directions from one evaluation of the terms they share."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(xstates())
+    def test_report_equals_per_direction_closed_form(self, s):
+        b = bloch_coefficients(s)
+        rep = steerability_entropy(s)
+        assert rep.i_ab == entropy_sum_closed_form(b, A_TO_B) == old_closed_form(b, A_TO_B)
+        assert rep.i_ba == entropy_sum_closed_form(b, B_TO_A) == old_closed_form(b, B_TO_A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.one_of(st.floats(-2.5, 2.5),
+                                 st.sampled_from([-1.0, 1.0, 1.0 + 1e-12, -1.0 - 1e-11]))] * 5))
+    def test_first_failing_term_raises_in_old_order(self, fields):
+        # Out-of-range log arguments fail in the old order: quad, c1, c2, p, q.
+        # (A p or q beyond +-1 already puts a quad argument below zero.)
+        b = BlochXCoefficients(*fields)
+
+        def both_old(b):
+            return [old_closed_form(b, A_TO_B), old_closed_form(b, B_TO_A)]
+
+        def both_new(b):
+            # steerability_entropy's own path, fed coefficients no valid state has.
+            with mock.patch.object(steering_entropy, "bloch_coefficients", lambda s: b):
+                rep = steerability_entropy(BELL)
+            return [rep.i_ab, rep.i_ba]
+
+        assert outcome(both_new, b) == outcome(both_old, b)
+        for direction in (A_TO_B, B_TO_A):
+            assert outcome(entropy_sum_closed_form, b, direction) == \
+                outcome(old_closed_form, b, direction)
