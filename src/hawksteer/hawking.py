@@ -52,11 +52,6 @@ class HawkingParams:
         require_positive("temperature", self.temperature)
         require_positive("omega", self.omega)
 
-    @property
-    def mass(self) -> float:
-        """Black-hole mass, M = 1 / (8 pi T)."""
-        return 1.0 / (8.0 * math.pi * self.temperature)
-
 
 @dataclass(frozen=True)
 class HawkingAmplitudes:

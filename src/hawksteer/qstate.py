@@ -188,18 +188,6 @@ def _xstates(m: np.ndarray) -> list[TwoQubitXState]:
     return [TwoQubitXState(*fields) for fields in flat.real[:, _X_FIELDS]]
 
 
-def extract_xstate(d: DenseState) -> TwoQubitXState:
-    """Extract the X-state from a dense 4x4 matrix.
-
-    Raises InvalidStateError("non-X reduction: ...") when any entry off
-    the diagonal/anti-diagonal pattern, or any imaginary part on the
-    pattern, exceeds XPATTERN_TOL.
-    """
-    if d.matrix.shape != (4, 4):
-        raise InvalidStateError("invalid input state: dim != 4")
-    return _xstates(d.matrix[None])[0]
-
-
 @functools.cache
 def _trace_gather(kept: tuple[tuple[str, str], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Flat 8x8 indices (g0, g1), each (K, 4, 4), for the K pairs in `kept`.
@@ -235,24 +223,13 @@ def _reduce(m: np.ndarray, *kept: tuple[str, str]) -> DenseState:
     return DenseState((flat[:, g0] + flat[:, g1]).swapaxes(0, 1).reshape(-1, 4, 4))
 
 
-def partial_trace(t: DenseState, kept: tuple[str, str]) -> TwoQubitXState:
-    """Trace an 8x8 three-mode state down to the two modes in `kept`.
-
-    The output qubit order follows the order of `kept`; the reduction
-    must have the X pattern or an error is raised.
-    """
-    if t.matrix.shape != (8, 8):
-        raise InvalidStateError("invalid input state: dim != 8")
-    return _xstates(_reduce(t.matrix, kept).matrix)[0]
-
-
 def partial_traces(t: DenseState, *kept: tuple[str, str]) -> list[TwoQubitXState]:
-    """partial_trace of each matrix of an (N, 8, 8) stack to each kept pair.
+    """Trace each 8x8 matrix of an (N, 8, 8) stack down to each kept pair.
 
-    One gather, one validation of the (K * N, 4, 4) stack and one X-pattern
-    check; the result is pair-major (the N reductions to kept[0] first),
-    and a non-X reduction raises partial_trace's error for the first one
-    in that order.
+    Qubit order follows the order within each pair.  One gather, one
+    validation of the (K * N, 4, 4) stack and one X-pattern check; the
+    result is pair-major (the N reductions to kept[0] first), and a non-X
+    reduction raises InvalidStateError for the first one in that order.
     """
     if t.matrix.ndim != 3 or t.dim != 8:
         raise InvalidStateError("invalid input state: dim != 8")

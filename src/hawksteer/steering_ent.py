@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DenseState, InvalidStateError, TwoQubitXState
+from .qstate import PSD_TOL, DenseState, InvalidStateError, TwoQubitXState
 
 SQRT3 = math.sqrt(3.0)
 
@@ -67,7 +67,7 @@ def concurrence_oracle(d: DenseState) -> float:
     if d.matrix.shape != (4, 4):  # one matrix, not a stack
         raise InvalidStateError("invalid state: need a two-qubit density matrix")
     ev, vec = np.linalg.eigh(d.matrix)
-    if ev.min() < -1e-10:
+    if ev.min() < -PSD_TOL:
         raise InvalidStateError(f"invalid state: eigenvalue {ev.min():.3e}")
     # Roundoff-scale eigenvalues must be flushed to exact zero: sqrt would
     # amplify 1e-17 noise to 1e-8.5 in the null space otherwise.

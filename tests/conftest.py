@@ -5,7 +5,22 @@ the test), so a tier-1 result can be reproduced.  `derandomize` implies no
 example database; each test keeps its own `max_examples`.
 """
 
+import pytest
 from hypothesis import settings
+
+from hawksteer.sweep import SweepConfig, run_sweep
 
 settings.register_profile("reproducible", derandomize=True)
 settings.load_profile("reproducible")
+
+
+@pytest.fixture(scope="session")
+def linear_sweep_10k():
+    """The 10^4-row linear sweep at omega = 1 from T = 0 (the frozen limit) to 10.
+
+    All pairs and both measures, as `hawksteer sweep --t-min 0 --t-max 10
+    --steps 10000` computes it.  Returns (config, records); tests must not
+    change the records.
+    """
+    cfg = SweepConfig(omega=1.0, t_min=0.0, t_max=10.0, steps=10_000)
+    return cfg, run_sweep(cfg)

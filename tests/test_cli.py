@@ -158,10 +158,12 @@ class TestJson:
         assert render_table(rows, cols, "json") == json.dumps(rows, indent=2) + "\n"
 
     @pytest.mark.parametrize("measures", ["both", "ent"])
-    def test_large_sweep_same_bytes_as_json_dumps(self, measures):
+    def test_large_sweep_same_bytes_as_json_dumps(self, measures, linear_sweep_10k):
         # 10^4 rows from T = 0 (the frozen limit); "ent" leaves null cells.
-        cfg = SweepConfig(omega=1.0, t_min=0.0, t_max=10.0, steps=10_000, measures=measures)
-        records = run_sweep(cfg)
+        cfg, records = linear_sweep_10k
+        if measures != cfg.measures:
+            cfg = dataclasses.replace(cfg, measures=measures)
+            records = run_sweep(cfg)
         assert to_json(cfg, records) == json.dumps(records, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [

@@ -69,10 +69,6 @@ class TestAmplitudes:
             with pytest.raises(ValueError, match="omega"):
                 HawkingParams(1.0, bad)
 
-    def test_mass_relation(self):
-        p = HawkingParams(0.5, 1.0)
-        assert p.mass == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-15)
-
 
 class TestTripartiteState:
     def test_structure(self):

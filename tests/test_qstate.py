@@ -22,10 +22,10 @@ from hawksteer.qstate import (
     TwoQubitXState,
     bloch_coefficients,
     embed_dense,
-    extract_xstate,
-    partial_trace,
     partial_traces,
 )
+from hawksteer.steering_ent import concurrence_oracle
+from hawksteer.steering_entropy import entropy_sum_oracle
 
 BELL = TwoQubitXState(0.5, 0.0, 0.0, 0.5, c14=0.5, c23=0.0)
 MIXED = TwoQubitXState(0.25, 0.25, 0.25, 0.25, c14=0.0, c23=0.0)
@@ -146,13 +146,19 @@ class TestEmbedExtract:
     @given(valid_xstates())
     @settings(max_examples=100, deadline=None)
     def test_round_trip_exact(self, s):
-        assert extract_xstate(embed_dense(s)) == s
+        assert qstate._xstates(embed_dense(s).matrix[None]) == [s]
 
     def test_extract_rejects_off_pattern(self):
         m = np.eye(4) / 4 + 0.0j
         m[0, 1] = m[1, 0] = 1e-6
         with pytest.raises(InvalidStateError, match="non-X"):
-            extract_xstate(DenseState(m))
+            qstate._xstates(DenseState(m).matrix[None])
+
+
+def one_trace(rho: DenseState, kept) -> TwoQubitXState:
+    """partial_traces of one 8x8 matrix, as a stack of one, to one pair."""
+    (red,) = partial_traces(DenseState(rho.matrix[None]), kept)
+    return red
 
 
 class TestPartialTrace:
@@ -163,7 +169,7 @@ class TestPartialTrace:
         # 100-point grid: every reduction matches its analytic matrix.
         for t in np.geomspace(0.05, 100.0, 100):
             a = amplitudes(HawkingParams(t, 1.0))
-            got = partial_trace(tripartite_states(a), kept)
+            got = one_trace(tripartite_states(a), kept)
             want = embed_dense(reduced_xstate(a, pair)).matrix
             assert np.max(np.abs(embed_dense(got).matrix - want)) <= 1e-12
 
@@ -171,23 +177,23 @@ class TestPartialTrace:
         for t in (0.3, 1.0, 7.0):
             rho = tripartite_states(amplitudes(HawkingParams(t, 1.0)))
             for kept in (("A", "B"), ("A", "Bbar"), ("B", "Bbar")):
-                red = partial_trace(rho, kept)
+                red = one_trace(rho, kept)
                 assert sum(red.populations) == pytest.approx(1.0, abs=1e-12)
                 m = embed_dense(red).matrix
                 assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
     def test_kept_order_swaps_qubits(self):
         rho = tripartite_states(amplitudes(HawkingParams(2.0, 1.0)))
-        ab = partial_trace(rho, ("A", "B"))
-        ba = partial_trace(rho, ("B", "A"))
+        ab = one_trace(rho, ("A", "B"))
+        ba = one_trace(rho, ("B", "A"))
         assert ba == ab.swapped()
 
     def test_rejects_bad_labels(self):
         rho = tripartite_states(amplitudes(HawkingParams(1.0, 1.0)))
         with pytest.raises(ValueError):
-            partial_trace(rho, ("A", "A"))
+            one_trace(rho, ("A", "A"))
         with pytest.raises(ValueError):
-            partial_trace(rho, ("A", "C"))
+            one_trace(rho, ("A", "C"))
 
     def test_rejects_non_x_reduction(self):
         # (|000> + |100>)/sqrt2 reduces to a state with a |00><10| coherence.
@@ -195,11 +201,11 @@ class TestPartialTrace:
         v[0b000] = v[0b100] = 1.0 / math.sqrt(2.0)
         rho = DenseState(np.outer(v, v))
         with pytest.raises(InvalidStateError, match="non-X"):
-            partial_trace(rho, ("A", "B"))
+            one_trace(rho, ("A", "B"))
 
     def test_rejects_wrong_dim(self):
         with pytest.raises(InvalidStateError):
-            partial_trace(embed_dense(BELL), ("A", "B"))
+            one_trace(embed_dense(BELL), ("A", "B"))
 
 
 class TestDenseState:
@@ -258,7 +264,7 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 def old_partial_trace_matrix(m: np.ndarray, kept) -> np.ndarray:
-    """The reshape / np.trace / transpose reduction partial_trace used to make."""
+    """The reshape / np.trace / transpose reduction that the gather replaced."""
     axes = [MODES.index(k) for k in kept]
     (traced,) = [i for i in range(3) if i not in axes]
     reduced = np.trace(m.reshape(2, 2, 2, 2, 2, 2), axis1=traced, axis2=traced + 3)
@@ -297,10 +303,11 @@ class TestDenseStack:
 
     def test_oracle_and_single_paths_refuse_stacks(self):
         stack = DenseState(np.array(valid_stack(4, 3)))
-        with pytest.raises(InvalidStateError, match="dim != 4"):
-            extract_xstate(stack)
+        for oracle in (concurrence_oracle, entropy_sum_oracle):
+            with pytest.raises(ValueError, match="need a two-qubit density matrix"):
+                oracle(stack)
         with pytest.raises(InvalidStateError, match="dim != 8"):
-            partial_trace(DenseState(np.array(valid_stack(8, 3))), ("A", "B"))
+            partial_traces(stack, ("A", "B"))
         with pytest.raises(InvalidStateError, match="dim != 8"):
             partial_traces(tripartite_states(amplitudes(HawkingParams(1.0, 1.0))), ("A", "B"))
 
@@ -323,7 +330,7 @@ class TestStackedReduction:
                                    (complex_on_pattern, off_5, complex_text),
                                    (off_2, complex_on_pattern, off_2_text)):
             with pytest.raises(InvalidStateError) as alone:
-                extract_xstate(DenseState(first))
+                qstate._xstates(DenseState(first).matrix[None])
             assert str(alone.value) == text
             for k in (0, 3):
                 stack = [good] * 6
@@ -353,12 +360,12 @@ class TestStackedReduction:
         for stack, (bad, kept) in (([*good, bbar_flip, a_flip], (a_flip, ("A", "B"))),
                                    ([bbar_flip, *good], (bbar_flip, ("A", "Bbar"))),
                                    ([*good, a_flip, bbar_flip], (a_flip, ("A", "B")))):
-            want = error(partial_trace, DenseState(bad), kept)
+            want = error(one_trace, DenseState(bad), kept)
             assert want.startswith("non-X reduction: off-pattern entry")
             assert error(partial_traces, DenseState(np.array(stack)), *THREE_PAIRS) == want
         # The two flips' messages differ, so the order above is really tested.
-        assert error(partial_trace, DenseState(bbar_flip), ("A", "Bbar")) != \
-            error(partial_trace, DenseState(a_flip), ("A", "B"))
+        assert error(one_trace, DenseState(bbar_flip), ("A", "Bbar")) != \
+            error(one_trace, DenseState(a_flip), ("A", "B"))
 
     # Each kept order alone, then the three pairs from one gather (pair-major).
     @pytest.mark.parametrize("kept", [(k,) for k in itertools.permutations(MODES, 2)]
@@ -366,7 +373,7 @@ class TestStackedReduction:
     def test_stack_equals_one_by_one(self, kept):
         a = amplitudes_at(1.0 / np.geomspace(1e-3, 1e3, 40))
         stack = tripartite_states(a)
-        singles = [partial_trace(DenseState(m), k) for k in kept for m in stack.matrix]
+        singles = [one_trace(DenseState(m), k) for k in kept for m in stack.matrix]
         got = partial_traces(stack, *kept)
         assert [dataclasses.astuple(s) for s in got] == [dataclasses.astuple(s) for s in singles]
         assert [tuple(map(type, dataclasses.astuple(s))) for s in got] == \

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hawksteer import qstate
 from hawksteer.qstate import (
     DenseState,
     InvalidStateError,
     TwoQubitXState,
     embed_dense,
-    extract_xstate,
 )
 from hawksteer.selfcheck import random_xstates
 from hawksteer.steering_ent import (
@@ -146,7 +146,7 @@ class TestSteerability:
         swap = np.eye(4)[[0, 2, 1, 3]]
         for s in random_xstates(200):
             m = embed_dense(s).matrix
-            swapped = extract_xstate(DenseState(swap @ m @ swap))
+            (swapped,) = qstate._xstates(DenseState(swap @ m @ swap).matrix[None])
             a, b = steerability_ent(s), steerability_ent(swapped)
             assert a.t_ab == b.t_ba
             assert a.t_ba == b.t_ab

@@ -19,6 +19,7 @@ from hawksteer.svgplot import (
     _ticks,
     render_lineplot,
 )
+from hawksteer.sweep import to_csv
 
 CURVE_FIELDS = ("s_ab", "s_ba", "s_delta", "t_ab", "t_ba", "t_delta")
 
@@ -143,20 +144,20 @@ class TestRenderLineplot:
 
 
 @pytest.fixture(scope="module")
-def sweeps_10k(tmp_path_factory):
+def sweeps_10k(tmp_path_factory, linear_sweep_10k):
     """Two 10^4-row sweeps: linear from T = 0 with both measures, log with `ent` only.
 
     Maps each to its path and its rows as csv.DictReader reads them.
     """
     root = tmp_path_factory.mktemp("sweeps")
+    cfg, records = linear_sweep_10k
+    (root / "both.csv").write_text(to_csv(cfg, records), encoding="utf-8", newline="")
+    assert main(["sweep", "--steps", "10000", "--grid", "log", "--t-min", "1e-3",
+                 "--t-max", "1e3", "--measures", "ent", "--pairs", "ABbar,BBbar",
+                 "-o", str(root / "ent.csv")]) == 0
     sweeps = {}
-    for name, argv in (
-        ("both", ["--t-min", "0", "--t-max", "10"]),
-        ("ent", ["--grid", "log", "--t-min", "1e-3", "--t-max", "1e3",
-                 "--measures", "ent", "--pairs", "ABbar,BBbar"]),
-    ):
+    for name in ("both", "ent"):
         path = root / f"{name}.csv"
-        assert main(["sweep", "--steps", "10000", *argv, "-o", str(path)]) == 0
         with open(path, newline="") as fh:
             sweeps[name] = path, list(csv.DictReader(fh))
     return sweeps
