@@ -98,6 +98,11 @@ def amplitudes(p: HawkingParams) -> HawkingAmplitudes:
     return amplitudes_at(float(p.omega) / float(p.temperature))
 
 
+def amplitudes_grid(params: Sequence[HawkingParams]) -> HawkingAmplitudes:
+    """amplitudes at every params, as float64 columns equal to it bit for bit."""
+    return amplitudes_at(np.array([float(p.omega) / float(p.temperature) for p in params]))
+
+
 def tripartite_states(a: HawkingAmplitudes) -> DenseState:
     """Pure three-mode density matrix (1/2) v v^T with v = C|000> + S|011> + |110>.
 
@@ -161,45 +166,53 @@ def closed_form_report(p: HawkingParams, pair: str) -> BipartitionReport:
 def closed_form_report_from_amplitudes(a: HawkingAmplitudes, pair: str) -> BipartitionReport:
     """The per-pair closed forms at (C, S): floats, or float64 columns.
 
-    For columns every numeric field of the report is an array, equal
-    element by element, bit for bit, to the report at the float inputs.
+    Both halves from one C * C and S * S, plus the concurrence.  For columns
+    every numeric field is an array equal, bit for bit, to the float report.
     """
     c, s = a.c_amp, a.s_amp
     c2, s2 = c * c, s * s
+    return BipartitionReport(pair=pair, entropy=closed_form_entropy(a, pair, c2, s2),
+                             ent=closed_form_ent(a, pair, c2, s2),
+                             concurrence=c if pair == "AB" else s if pair == "ABbar" else c * s)
+
+
+def closed_form_entropy(a: HawkingAmplitudes, pair: str, c2, s2) -> EntropySteeringReport:
+    """The pair's entropic closed forms at a, given c2 = C * C and s2 = S * S."""
+    c, s = a.c_amp, a.s_amp
     xc, xs = _xlg(c2), _xlg(s2)
     if pair in ("AB", "ABbar"):
-        # A bit flip on anti-Bob's mode turns ABbar into AB with C and S exchanged
-        # (k the pair's amplitude, o the other) and moves c14 to c23, hence "inner".
-        if pair == "AB":
-            k, k2, o2, xo, branch = c, c2, s2, xs, BRANCH_CORNER
-        else:
-            k, k2, o2, xo, branch = s, s2, c2, xc, BRANCH_INNER
+        # ABbar is AB with C, S swapped (anti-Bob's mode bit-flipped): k the pair's, o the other.
+        k, o2, xo = (c, s2, xs) if pair == "AB" else (s, c2, xc)
         lp = _xlg(1.0 + k) + _xlg(1.0 - k)
         raw_ab = 0.25 * (2.0 * lp + xc + xs)
         raw_ba = 0.25 * (2.0 * lp - _xlg(1.0 + o2) + xo)
-        t_ab = k2 - c2 * s2 / SQRT3
-        t_ba = k2 - o2 / SQRT3
-        conc = k
     elif pair == "BBbar":
         cs = c * s
         lp = _xlg(1.0 + cs) + _xlg(1.0 - cs)
         raw_ab = 0.25 * (2.0 * lp + xs - _xlg(1.0 + s2))
         raw_ba = 0.25 * (2.0 * lp + xc - _xlg(1.0 + c2))
-        t_ab = c2 * s2 - s2 / SQRT3
-        t_ba = c2 * s2 - c2 / SQRT3
-        conc = cs
-        branch = BRANCH_CORNER
     else:
         raise ValueError(f"unknown pair: {pair!r}")
     i_ab, i_ba = 4.0 * raw_ab + 2.0, 4.0 * raw_ba + 2.0
     s_ab = steering_entropy.steerability_from_sum(i_ab)
     s_ba = steering_entropy.steerability_from_sum(i_ba)
-    entropy = EntropySteeringReport(i_ab=i_ab, i_ba=i_ba, s_ab=s_ab, s_ba=s_ba,
-                                    delta=abs(s_ab - s_ba))
+    return EntropySteeringReport(i_ab=i_ab, i_ba=i_ba, s_ab=s_ab, s_ba=s_ba,
+                                 delta=abs(s_ab - s_ba))
+
+
+def closed_form_ent(a: HawkingAmplitudes, pair: str, c2, s2) -> EntSteeringReport:
+    """The pair's witness closed forms: they need c2 = C * C and s2 = S * S, not a."""
+    if pair in ("AB", "ABbar"):
+        # The same bit flip as in closed_form_entropy moves c14 to c23, hence "inner".
+        k2, o2, branch = (c2, s2, BRANCH_CORNER) if pair == "AB" else (s2, c2, BRANCH_INNER)
+        t_ab, t_ba = k2 - c2 * s2 / SQRT3, k2 - o2 / SQRT3
+    elif pair == "BBbar":
+        t_ab, t_ba, branch = c2 * s2 - s2 / SQRT3, c2 * s2 - c2 / SQRT3, BRANCH_CORNER
+    else:
+        raise ValueError(f"unknown pair: {pair!r}")
     t_ab, t_ba = keep_above(t_ab, 0.0), keep_above(t_ba, 0.0)
-    ent = EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba),
-                            branch_ab=branch, branch_ba=branch)
-    return BipartitionReport(pair=pair, entropy=entropy, ent=ent, concurrence=conc)
+    return EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba),
+                             branch_ab=branch, branch_ba=branch)
 
 
 def _measures(pair: str, reduced: TwoQubitXState) -> BipartitionReport:
@@ -256,9 +269,8 @@ def pipeline_grid(params: Sequence[HawkingParams]) -> dict[str, list[Bipartition
     and the three pairs are one partial trace of it; each report equals
     pipeline_report's bit for bit.
     """
-    x = np.array([float(p.omega) / float(p.temperature) for p in params])
     return {pair: [_measures(pair, r) for r in reds]
-            for pair, reds in zip(PAIRS, _reductions(amplitudes_at(x)))}
+            for pair, reds in zip(PAIRS, _reductions(amplitudes_grid(params)))}
 
 
 # ---------------------------------------------------------------------------
@@ -363,50 +375,52 @@ def _find_peak(f, grid: np.ndarray, column: np.ndarray, omega: float) -> float:
     return _golden_max(f, *(float(t) for t in grid[i - 1:i + 2]), tol=1e-10)
 
 
-def _measure(rep: BipartitionReport, attr: str):
-    return getattr(rep.entropy if attr.startswith("s_") else rep.ent, attr)
-
-
 def monogamy_threshold(omega: float) -> float:
     """omega / ln(sqrt 3): ABbar's B->A witness steering is born, r3 and r4 apply above."""
     return omega / math.log(SQRT3)
 
 
 #: The five critical points, in CriticalTemperatures field order: name,
-#: pair, measure, kind (birth, peak or death) and the closed form in omega
-#: (None where there is none).
+#: pair, the closed-form half that holds the measure, the measure, kind
+#: (birth, peak or death) and the closed form in omega (None if there is none).
 _CRITICAL_POINTS = (
-    ("t_birth_entropy_a_to_abar", "ABbar", "s_ab", "birth", None),
-    ("t_birth_entropy_abar_to_a", "ABbar", "s_ba", "birth", None),
-    ("t_birth_ent_abar_to_a", "ABbar", "t_ba", "birth", monogamy_threshold),
-    ("t_peak_bbbar", "BBbar", "t_ab", "peak", lambda w: w / math.log(2.0 + SQRT3)),
-    ("t_death_bbbar", "BBbar", "t_ab", "death", lambda w: -w / math.log(SQRT3 - 1.0)),
+    ("t_birth_entropy_a_to_abar", "ABbar", closed_form_entropy, "s_ab", "birth", None),
+    ("t_birth_entropy_abar_to_a", "ABbar", closed_form_entropy, "s_ba", "birth", None),
+    ("t_birth_ent_abar_to_a", "ABbar", closed_form_ent, "t_ba", "birth", monogamy_threshold),
+    ("t_peak_bbbar", "BBbar", closed_form_ent, "t_ab", "peak",
+     lambda w: w / math.log(2.0 + SQRT3)),
+    ("t_death_bbbar", "BBbar", closed_form_ent, "t_ab", "death",
+     lambda w: -w / math.log(SQRT3 - 1.0)),
 )
 
 
 def critical_temperatures(omega: float) -> CriticalTemperatures:
     """All five critical temperatures, closed form and numeric side by side.
 
-    The kernel runs once per pair over a 600-point grid in
-    [1e-3, 1e4] * omega; each finder takes its bracket from those
-    columns and refines it with the kernel at single temperatures.
+    The scan evaluates each closed-form half in _CRITICAL_POINTS once, as a
+    column over 600 points in [1e-3, 1e4] * omega (ABbar entropic and witness,
+    BBbar witness).  Each finder brackets from its column, and each of its
+    steps evaluates that half alone, at amplitudes_at(omega / t).
     """
     require_positive("omega", omega)
     # The low end of the scan grid is 1e-3 * omega and the bisection's
     # xtol is 1e-12 * omega: both must stay positive, so check the smaller.
     require_positive("1e-12 * omega", 1e-12 * omega)
     require_positive("1e4 * omega", 1e4 * omega)
-    grid = np.geomspace(1e-3 * omega, 1e4 * omega, 600)
+    # Near the float max, geomspace overflows on its last point, then sets it to 1e4 * omega.
+    with np.errstate(over="ignore"):
+        grid = np.geomspace(1e-3 * omega, 1e4 * omega, 600)
     cols = amplitudes_at(omega / grid)
-    reports = {pair: closed_form_report_from_amplitudes(cols, pair)
-               for pair in ("ABbar", "BBbar")}
+    sq = cols.c_amp * cols.c_amp, cols.s_amp * cols.s_amp
+    scans = {(pair, half): half(cols, pair, *sq) for _, pair, half, *_ in _CRITICAL_POINTS}
 
-    def point(name, pair, attr, kind, closed_form):
+    def point(name, pair, half, attr, kind, closed_form):
         def f(t):
-            return _measure(closed_form_report(HawkingParams(t, omega), pair), attr)
+            a = amplitudes_at(omega / t)
+            return getattr(half(a, pair, a.c_amp * a.c_amp, a.s_amp * a.s_amp), attr)
 
         closed = None if closed_form is None else closed_form(omega)
-        column = _measure(reports[pair], attr)
+        column = getattr(scans[pair, half], attr)
         try:
             numeric = (_find_peak(f, grid, column, omega) if kind == "peak"
                        else _find_crossing(f, grid, column, omega, kind))

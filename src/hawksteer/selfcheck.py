@@ -14,7 +14,8 @@ from .hawking import (
     PAIRS,
     HawkingParams,
     amplitudes,
-    closed_form_report,
+    amplitudes_grid,
+    closed_form_report_from_amplitudes,
     monogamy_grid,
     pipeline_grid,
     reduced_xstate,
@@ -37,7 +38,7 @@ def random_xstates(n: int, seed: int = 20240817) -> list[TwoQubitXState]:
         pops = rng.dirichlet(np.ones(4))
         c14 = rng.uniform(-1.0, 1.0) * np.sqrt(pops[0] * pops[3])
         c23 = rng.uniform(-1.0, 1.0) * np.sqrt(pops[1] * pops[2])
-        out.append(TwoQubitXState(*pops, c14=c14, c23=c23))
+        out.append(TwoQubitXState(*pops.tolist(), c14=float(c14), c23=float(c23)))
     return out
 
 
@@ -55,7 +56,7 @@ def reduced_state_population(n_grid: int = 200) -> list[TwoQubitXState]:
     return states
 
 
-def _verdict(name: str, label: str, diffs: list[float], tol: float) -> tuple[str, bool, str]:
+def _verdict(name: str, label: str, diffs, tol: float) -> tuple[str, bool, str]:
     """(name, ok, detail) for the largest |diff|; a NaN among them is the worst and fails."""
     worst = float(np.max(np.abs(diffs), initial=0.0))
     return name, worst <= tol, f"{label} {worst:.3e}"
@@ -85,17 +86,17 @@ def _grid_params(n_grid: int) -> list[HawkingParams]:
     return [HawkingParams(t, 1.0) for t in grid_temperatures(n_grid)]
 
 
+def _values(rep) -> list:
+    """The report's ENTROPY_FIELDS, ENT_FIELDS and concurrence, in that order."""
+    return ([getattr(rep.entropy, f) for f in ENTROPY_FIELDS]
+            + [getattr(rep.ent, f) for f in ENT_FIELDS] + [rep.concurrence])
+
+
 def check_pipeline_equivalence(n_grid: int = 200) -> tuple[str, bool, str]:
     params = _grid_params(n_grid)
-    reports = pipeline_grid(params)
-    diffs = []
-    for i, p in enumerate(params):
-        for pair in PAIRS:
-            a = closed_form_report(p, pair)
-            b = reports[pair][i]
-            diffs += [getattr(a.entropy, f) - getattr(b.entropy, f) for f in ENTROPY_FIELDS]
-            diffs += [getattr(a.ent, f) - getattr(b.ent, f) for f in ENT_FIELDS]
-            diffs.append(a.concurrence - b.concurrence)
+    reports, cols = pipeline_grid(params), amplitudes_grid(params)
+    diffs = [np.array(_values(closed_form_report_from_amplitudes(cols, pair)))
+             - np.array([_values(r) for r in reports[pair]]).T for pair in PAIRS]
     return _verdict("matrix pipeline vs closed-form reports",
                     "max discrepancy", diffs, PIPELINE_TOL)
 

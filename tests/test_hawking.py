@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawksteer import hawking
@@ -17,6 +17,8 @@ from hawksteer.hawking import (
     HawkingParams,
     amplitudes,
     amplitudes_at,
+    closed_form_ent,
+    closed_form_entropy,
     closed_form_report,
     closed_form_report_from_amplitudes,
     critical_temperatures,
@@ -212,6 +214,36 @@ class TestSharedABBranch:
                 assert (rep.ent.branch_ab, rep.ent.branch_ba) == (branch, branch), pair
 
 
+class TestClosedFormHalves:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-320.0, 300.0), min_size=1, max_size=40))
+    def test_halves_equal_full_report_bitwise(self, log_ratios):
+        # Each half called as a critical finder step calls it, against the full
+        # report's field: == and the same sign of zero, for floats and columns.
+        # T / omega log-uniform in [1e-320, 1e300], plus the frozen limit.
+        xs = [1.0 / 10.0 ** u for u in log_ratios]
+        inputs = [FROZEN, amplitudes_at(np.array(xs))] + [amplitudes_at(x) for x in xs]
+        for a in inputs:
+            for pair in PAIRS:
+                full = closed_form_report_from_amplitudes(a, pair)
+                for half, want in ((closed_form_entropy, full.entropy),
+                                   (closed_form_ent, full.ent)):
+                    got = half(a, pair, a.c_amp * a.c_amp, a.s_amp * a.s_amp)
+                    for f in dataclasses.fields(want):
+                        g, w = getattr(got, f.name), getattr(want, f.name)
+                        assert type(g) is type(w), (pair, f.name)
+                        if isinstance(w, str):
+                            assert g == w, (pair, f.name)
+                        else:
+                            assert np.array_equal(g, w), (pair, f.name)
+                            assert np.array_equal(bits(g), bits(w)), (pair, f.name)
+
+    def test_halves_reject_unknown_pair(self):
+        for half in (closed_form_entropy, closed_form_ent):
+            with pytest.raises(ValueError, match="pair"):
+                half(FROZEN, "AA", 1.0, 0.0)
+
+
 def field_types(values) -> tuple[type, ...]:
     return tuple(map(type, values))
 
@@ -357,6 +389,36 @@ class TestCriticalTemperatures:
                 continue
             assert pt.error == f"bracket failure: no {kind} in [1e-3, 1e4] * omega=1.0"
             assert math.isnan(pt.numeric) and pt.discrepancy is None, pt
+
+
+# The admissible ends README states: 1e-12 * omega must stay > 0 (the
+# bisection's xtol) and 1e4 * omega finite (the top of the scan grid).
+OMEGA_MIN, OMEGA_MAX = 2.47032822921e-312, 1.7976931348623158e+304
+
+
+class TestCriticalAdmissibleRange:
+    def test_ends_are_the_last_admissible_omegas(self):
+        assert 1e-12 * OMEGA_MIN > 0.0 and 1e4 * OMEGA_MAX < math.inf
+        for outside in (math.nextafter(OMEGA_MIN, 0.0), math.nextafter(OMEGA_MAX, math.inf)):
+            with pytest.raises(ValueError, match="omega"):
+                critical_temperatures(outside)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(math.log(OMEGA_MIN), math.log(OMEGA_MAX)).map(
+        lambda u: min(max(math.exp(u), OMEGA_MIN), OMEGA_MAX)))
+    @example(OMEGA_MIN)
+    @example(OMEGA_MAX)
+    def test_every_point_found(self, omega):
+        # omega log-uniform over the whole admissible range; criterion 3's
+        # tolerances, and the entropic A-bar -> A birth near 5.8021 omega.
+        ct = critical_temperatures(omega)
+        for pt in ct.points():
+            assert pt.error is None and math.isfinite(pt.numeric), (omega, pt)
+            if pt.closed_form is not None:
+                assert pt.discrepancy <= 1e-6 * pt.closed_form, (omega, pt)
+        birth = ct.t_birth_entropy_abar_to_a.numeric
+        assert abs(birth - 5.8021 * omega) <= 1e-3 * (5.8021 * omega), omega
 
 
 class TestMonogamy:

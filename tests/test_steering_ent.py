@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,23 @@ def hawking_reduction(x: float, pair: str) -> TwoQubitXState:
     if pair == "ABbar":
         return TwoQubitXState(c_sq / 2, s_sq / 2, 0.5, 0.0, c14=0.0, c23=s / 2)
     return TwoQubitXState(c_sq / 2, 0.0, 0.5, s_sq / 2, c14=c * s / 2, c23=0.0)
+
+
+class TestRandomXStates:
+    def test_float_fields_equal_the_float64_draws(self):
+        # The same draws as with np.float64 fields, handed over as Python floats.
+        for seed in (0, 7, 20240817):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(100):
+                pops = rng.dirichlet(np.ones(4))
+                c14 = rng.uniform(-1.0, 1.0) * np.sqrt(pops[0] * pops[3])
+                c23 = rng.uniform(-1.0, 1.0) * np.sqrt(pops[1] * pops[2])
+                want.append(TwoQubitXState(*pops, c14=c14, c23=c23))
+            got = random_xstates(100, seed)
+            assert got == want, seed
+            for s in got:
+                assert all(type(getattr(s, f.name)) is float for f in dataclasses.fields(s))
 
 
 class TestConcurrence:
