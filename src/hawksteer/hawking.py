@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import steering_ent, steering_entropy
-from .qstate import DenseState, TwoQubitXState, partial_traces
+from .qstate import DenseState, TwoQubitXState, XStateColumns, partial_traces
 from .steering_ent import BRANCH_CORNER, BRANCH_INNER, SQRT3, EntSteeringReport
 from .steering_entropy import EntropySteeringReport, keep_above
 
@@ -143,7 +143,7 @@ class BipartitionReport:
 def _xlg(x):
     """x log2 x with 0 log 0 = 0, elementwise through libm's log2 for arrays.
 
-    Deliberately not steering_entropy._xlogx: that one takes np.log2,
+    Deliberately not steering_entropy's x log x: that one takes np.log2,
     which differs from libm's log2 in the last ulp on some inputs, so
     sharing it would change the golden bytes.
     """
@@ -215,7 +215,7 @@ def closed_form_ent(a: HawkingAmplitudes, pair: str, c2, s2) -> EntSteeringRepor
                              branch_ab=branch, branch_ba=branch)
 
 
-def _measures(pair: str, reduced: TwoQubitXState) -> BipartitionReport:
+def _measures(pair: str, reduced: TwoQubitXState | XStateColumns) -> BipartitionReport:
     return BipartitionReport(
         pair=pair,
         entropy=steering_entropy.steerability_entropy(reduced),
@@ -262,15 +262,38 @@ def pipeline_report(p: HawkingParams, pair: str) -> BipartitionReport:
     return _measures(pair, reductions_at(amplitudes(p))[PAIRS.index(pair)])
 
 
-def pipeline_grid(params: Sequence[HawkingParams]) -> dict[str, list[BipartitionReport]]:
-    """pipeline_report at every params for every pair, from one stack of states.
+def pipeline_columns(params: Sequence[HawkingParams]) -> dict[str, BipartitionReport]:
+    """Each pair's pipeline measures at every params, as one report of float64 columns.
 
-    The three-mode states are built and validated as one (N, 8, 8) stack,
-    and the three pairs are one partial trace of it; each report equals
-    pipeline_report's bit for bit.
+    The three-mode states are one validated (N, 8, 8) stack, the three pairs
+    one partial trace of it, and each pair's N reductions one column of
+    measures, equal to pipeline_report's bit for bit.
     """
-    return {pair: [_measures(pair, r) for r in reds]
+    return {pair: _measures(pair, XStateColumns.of(reds))
             for pair, reds in zip(PAIRS, _reductions(amplitudes_grid(params)))}
+
+
+def _rows(col: BipartitionReport) -> list[BipartitionReport]:
+    """A column report's per-state reports, with the one-state measures' types.
+
+    Entropic fields are fsum's floats; t_ab and t_ba are what keep_above
+    gives a reduction's np.float64; a reduction's concurrence never clamps
+    (one of its terms is |c| - sqrt(0.0 * p) >= 0), so it stays np.float64.
+    """
+    e, w = col.entropy, col.ent
+    entropy = zip(*(x.tolist() for x in (e.i_ab, e.i_ba, e.s_ab, e.s_ba, e.delta)))
+    rows = []
+    for fields, t_ab, t_ba, b_ab, b_ba, c in zip(entropy, w.t_ab, w.t_ba, w.branch_ab.tolist(),
+                                                  w.branch_ba.tolist(), col.concurrence):
+        t_ab, t_ba = keep_above(t_ab, 0.0), keep_above(t_ba, 0.0)
+        rows.append(BipartitionReport(col.pair, EntropySteeringReport(*fields),
+                                      EntSteeringReport(t_ab, t_ba, abs(t_ab - t_ba), b_ab, b_ba), c))
+    return rows
+
+
+def pipeline_grid(params: Sequence[HawkingParams]) -> dict[str, list[BipartitionReport]]:
+    """pipeline_report at every params for every pair, from pipeline_columns, bit for bit."""
+    return {pair: _rows(col) for pair, col in pipeline_columns(params).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,9 +90,24 @@ class TwoQubitXState:
                               self.c14, self.c23)
 
 
-@dataclass(frozen=True)
-class BlochXCoefficients:
-    """Correlation coefficients (c1, c2, c3) and local z-polarizations (p, q)."""
+class XStateColumns(NamedTuple):
+    """The fields of N validated X-states as float64 columns, for the column measures."""
+
+    p11: np.ndarray
+    p22: np.ndarray
+    p33: np.ndarray
+    p44: np.ndarray
+    c14: np.ndarray
+    c23: np.ndarray
+
+    @classmethod
+    def of(cls, states: Sequence[TwoQubitXState]) -> "XStateColumns":
+        rows = [(*s.populations, s.c14, s.c23) for s in states]
+        return cls(*np.array(rows, dtype=np.float64).reshape(-1, 6).T)
+
+
+class BlochXCoefficients(NamedTuple):
+    """Correlation coefficients (c1, c2, c3) and local z-polarizations (p, q): floats or columns."""
 
     c1: float
     c2: float
@@ -149,8 +166,8 @@ def _square(shape: tuple[int, ...]) -> bool:
     return len(shape) == 2 and shape[0] == shape[1] and shape[0] in (2, 4, 8)
 
 
-def bloch_coefficients(s: TwoQubitXState) -> BlochXCoefficients:
-    """Map an X-state to its (c1, c2, c3, p, q) parameterization.
+def bloch_coefficients(s: TwoQubitXState | XStateColumns) -> BlochXCoefficients:
+    """Map an X-state, or columns of them, to its (c1, c2, c3, p, q) parameterization.
 
     c1 = 2(c14 + c23), c2 = 2(c23 - c14), c3 = p11 - p22 - p33 + p44,
     p = p11 + p22 - p33 - p44 (first-qubit z-polarization),

@@ -17,7 +17,7 @@ from .hawking import (
     amplitudes_grid,
     closed_form_report_from_amplitudes,
     monogamy_grid,
-    pipeline_grid,
+    pipeline_columns,
     reduced_xstate,
 )
 from .qstate import TwoQubitXState, embed_dense, bloch_coefficients
@@ -86,17 +86,17 @@ def _grid_params(n_grid: int) -> list[HawkingParams]:
     return [HawkingParams(t, 1.0) for t in grid_temperatures(n_grid)]
 
 
-def _values(rep) -> list:
-    """The report's ENTROPY_FIELDS, ENT_FIELDS and concurrence, in that order."""
-    return ([getattr(rep.entropy, f) for f in ENTROPY_FIELDS]
-            + [getattr(rep.ent, f) for f in ENT_FIELDS] + [rep.concurrence])
+def _values(rep) -> np.ndarray:
+    """A column report's ENTROPY_FIELDS, ENT_FIELDS and concurrence, one row each."""
+    return np.array([getattr(rep.entropy, f) for f in ENTROPY_FIELDS]
+                    + [getattr(rep.ent, f) for f in ENT_FIELDS] + [rep.concurrence])
 
 
 def check_pipeline_equivalence(n_grid: int = 200) -> tuple[str, bool, str]:
     params = _grid_params(n_grid)
-    reports, cols = pipeline_grid(params), amplitudes_grid(params)
-    diffs = [np.array(_values(closed_form_report_from_amplitudes(cols, pair)))
-             - np.array([_values(r) for r in reports[pair]]).T for pair in PAIRS]
+    reports, cols = pipeline_columns(params), amplitudes_grid(params)
+    diffs = [_values(closed_form_report_from_amplitudes(cols, pair)) - _values(reports[pair])
+             for pair in PAIRS]
     return _verdict("matrix pipeline vs closed-form reports",
                     "max discrepancy", diffs, PIPELINE_TOL)
 

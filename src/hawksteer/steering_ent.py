@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import PSD_TOL, DenseState, InvalidStateError, TwoQubitXState
+from .qstate import PSD_TOL, DenseState, InvalidStateError, TwoQubitXState, XStateColumns
+from .steering_entropy import keep_above
 
 SQRT3 = math.sqrt(3.0)
+SCALE = 8.0 / SQRT3  # the witness quantifier's scale: the Bell state scores 1
 
 BRANCH_CORNER = "corner"  # driven by c14, the |00><11| coherence
 BRANCH_INNER = "inner"    # driven by c23, the |01><10| coherence
@@ -30,8 +33,7 @@ _SY = np.array([[0, -1j], [1j, 0]])
 _SPIN_FLIP = np.kron(_SY, _SY)
 
 
-@dataclass(frozen=True)
-class WitnessThresholds:
+class WitnessThresholds(NamedTuple):
     qa: float
     qb: float
     qc: float
@@ -48,10 +50,18 @@ class EntSteeringReport:
     branch_ba: str
 
 
-def concurrence_xstate(s: TwoQubitXState) -> float:
-    """Concurrence of an X-state: 2 max{|c14| - sqrt(p22 p33), |c23| - sqrt(p11 p44), 0}."""
-    return 2.0 * max(abs(s.c14) - np.sqrt(s.p22 * s.p33),
-                     abs(s.c23) - np.sqrt(s.p11 * s.p44), 0.0)
+def concurrence_xstate(s: TwoQubitXState | XStateColumns):
+    """Concurrence of an X-state: 2 max{|c14| - sqrt(p22 p33), |c23| - sqrt(p11 p44), 0}.
+
+    The maximum is Python's max in that order, elementwise for columns: the
+    second term only where it is larger, 0.0 only where larger still.
+    """
+    corner, inner = abs(s.c14) - np.sqrt(s.p22 * s.p33), abs(s.c23) - np.sqrt(s.p11 * s.p44)
+    if isinstance(corner, float):  # one state (np.float64 is a float)
+        m = inner if inner > corner else corner
+        return 2.0 * (0.0 if 0.0 > m else m)
+    m = np.where(inner > corner, inner, corner)
+    return 2.0 * np.where(0.0 > m, 0.0, m)
 
 
 def concurrence_oracle(d: DenseState) -> float:
@@ -78,8 +88,8 @@ def concurrence_oracle(d: DenseState) -> float:
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
-def witness_thresholds(s: TwoQubitXState) -> WitnessThresholds:
-    """The three population combinations entering the witness inequalities."""
+def witness_thresholds(s: TwoQubitXState | XStateColumns) -> WitnessThresholds:
+    """The three population combinations entering the witness inequalities: floats or columns."""
     # Population products are grouped so exchanging the qubits (which
     # swaps p22 <-> p33) leaves qa, qc bit-identical and negates qb.
     corner, inner = s.p11 * s.p44, s.p22 * s.p33
@@ -90,24 +100,27 @@ def witness_thresholds(s: TwoQubitXState) -> WitnessThresholds:
     return WitnessThresholds(qa=qa, qb=qb, qc=qc)
 
 
-def steerability_ent(s: TwoQubitXState) -> EntSteeringReport:
-    """Directional entanglement-based steerabilities of an X-state.
+def steerability_ent(s: TwoQubitXState | XStateColumns) -> EntSteeringReport:
+    """Directional entanglement-based steerabilities of an X-state, or columns of them.
 
     t_ab = max{0, (8/sqrt3)(c14^2 - Qa - Qb), (8/sqrt3)(c23^2 - Qc - Qb)}
     t_ba = max{0, (8/sqrt3)(c14^2 - Qa + Qb), (8/sqrt3)(c23^2 - Qc + Qb)}
+
+    The branch is the corner one where its term is >= the inner one.
     """
-    q = witness_thresholds(s)
-    scale = 8.0 / SQRT3
-
-    def direction(sign: float) -> tuple[float, str]:
-        corner = scale * (s.c14 * s.c14 - q.qa + sign * q.qb)
-        inner = scale * (s.c23 * s.c23 - q.qc + sign * q.qb)
-        if corner >= inner:
-            return max(0.0, corner), BRANCH_CORNER
-        return max(0.0, inner), BRANCH_INNER
-
-    t_ab, branch_ab = direction(-1.0)
-    t_ba, branch_ba = direction(+1.0)
+    qa, qb, qc = witness_thresholds(s)
+    corner, inner = s.c14 * s.c14 - qa, s.c23 * s.c23 - qc
+    directions = []
+    for sign in (-1.0, 1.0):
+        c, i = SCALE * (corner + sign * qb), SCALE * (inner + sign * qb)
+        if isinstance(c, float):  # one state
+            directions.append((keep_above(c, 0.0), BRANCH_CORNER) if c >= i
+                              else (keep_above(i, 0.0), BRANCH_INNER))
+        else:
+            on_corner = c >= i
+            directions.append((keep_above(np.where(on_corner, c, i), 0.0),
+                               np.where(on_corner, BRANCH_CORNER, BRANCH_INNER)))
+    (t_ab, branch_ab), (t_ba, branch_ba) = directions
     return EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba),
                              branch_ab=branch_ab, branch_ba=branch_ba)
 

@@ -30,12 +30,15 @@ from .qstate import (
     BlochXCoefficients,
     DenseState,
     TwoQubitXState,
+    XStateColumns,
     bloch_coefficients,
     embed_dense,
 )
 
 I_MAX = 6.0
 LOG_CLAMP = 1e-12
+
+_log2 = np.log2  # looked up once: one state's closed form calls it per argument
 
 _SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -58,55 +61,58 @@ class EntropySteeringReport:
     delta: float
 
 
-def _xlogx(x: float) -> float:
-    """x * log2(x) with the 0 log 0 = 0 convention and noise clamping.
+def _zero(x: float) -> float:
+    """x log2 x = 0.0 for x <= 0 within LOG_CLAMP of 0 (noise); below it x is invalid."""
+    if x < -LOG_CLAMP:
+        raise ValueError(f"coefficient out of range: log argument {x:.3e}")
+    return 0.0
 
-    Arguments in [-LOG_CLAMP, 0] are treated as 0; anything below is a
-    genuinely invalid coefficient.
+
+def _sums(t: list) -> list[float]:
+    """One state's sums from its x log x terms: quad and the c1, c2 pairs less each local pair.
+
+    fsum keeps each sum independent of term order, so exchanging the qubit
+    roles swaps the two directions bit-exactly.
     """
-    if x <= 0.0:
-        if x < -LOG_CLAMP:
-            raise ValueError(f"coefficient out of range: log argument {x:.3e}")
-        return 0.0
-    return x * np.log2(x)
+    quad, c1, c2 = 0.5 * math.fsum(t[:4]), t[4] + t[5], t[6] + t[7]
+    sums = []
+    for k in range(8, len(t), 2):
+        sums.append(math.fsum((quad, c1, c2, -(t[k] + t[k + 1]))))
+    return sums
 
 
-def _pair(c: float) -> float:
-    """(1+c)log(1+c) + (1-c)log(1-c), base 2."""
-    return _xlogx(1.0 + c) + _xlogx(1.0 - c)
+def _entropy_sums(b: BlochXCoefficients, *local):
+    """The closed-form sum for each local polarization: floats, or float64 columns.
 
-
-def _shared_terms(b: BlochXCoefficients) -> tuple[float, float, float]:
-    """quad and the c1, c2 pairs: the terms both directions' sums share, in that order.
-
-    Evaluated before either direction's local pair, so an out-of-range
-    log argument raises for the first failing term: quad, c1, c2, p, q.
+    The x log x arguments are quad's four, then 1 + c and 1 - c for c1, c2
+    and each local polarization, the order in which an invalid one raises.
+    One state takes np.log2 per argument, columns one np.log2 over their
+    (N, K) block, which equals it on each value alone.
     """
-    quad = 0.5 * math.fsum((
-        _xlogx((1.0 + b.c3) + (b.p + b.q)),
-        _xlogx((1.0 + b.c3) - (b.p + b.q)),
-        _xlogx((1.0 - b.c3) + (b.q - b.p)),
-        _xlogx((1.0 - b.c3) + (b.p - b.q)),
-    ))
-    return quad, _pair(b.c1), _pair(b.c2)
+    hi, lo, pq = 1.0 + b.c3, 1.0 - b.c3, b.p + b.q
+    args = [hi + pq, hi - pq, lo + (b.q - b.p), lo + (b.p - b.q),
+            1.0 + b.c1, 1.0 - b.c1, 1.0 + b.c2, 1.0 - b.c2]
+    for c in local:
+        args += (1.0 + c, 1.0 - c)
+    if not isinstance(hi, np.ndarray):
+        return _sums([_zero(x) if x <= 0.0 else x * _log2(x) for x in args])
+    x = np.array(args).T
+    zero, bad = x <= 0.0, x < -LOG_CLAMP
+    if bad.any():
+        _zero(x.flat[np.argmax(bad)])  # the first failing state's first invalid argument
+    terms = np.where(zero, 0.0, x * np.log2(x, out=np.ones_like(x), where=~zero))
+    return np.array([_sums(t) for t in terms.tolist()]).reshape(-1, len(local)).T
 
 
-def _entropy_sum(shared: tuple[float, float, float], local: float) -> float:
-    """The closed-form sum from the shared terms and one local polarization."""
-    # fsum keeps the result independent of term order, so exchanging the
-    # qubit roles swaps the two directions bit-exactly.
-    return math.fsum((*shared, -_pair(local)))
-
-
-def entropy_sum_closed_form(b: BlochXCoefficients, direction: str = A_TO_B) -> float:
+def entropy_sum_closed_form(b: BlochXCoefficients, direction: str = A_TO_B):
     """Closed-form conditional-entropy combination for an X-state, in bits.
 
     The two directions differ only in which local polarization (p for
-    A->B, q for B->A) is subtracted.
+    A->B, q for B->A) is subtracted.  A float, or a column for columns.
     """
     if direction not in (A_TO_B, B_TO_A):
         raise ValueError(f"unknown direction: {direction!r}")
-    return _entropy_sum(_shared_terms(b), b.p if direction == A_TO_B else b.q)
+    return _entropy_sums(b, b.p if direction == A_TO_B else b.q)[0]
 
 
 #: Joint eigenprojectors (1 +/- sigma_i)/2 x (1 +/- sigma_i)/2 as a 12x4x4
@@ -198,12 +204,10 @@ def steerability_from_sum(i):
     return keep_above((i - 2.0) / (I_MAX - 2.0), STEER_FLUSH)
 
 
-def steerability_entropy(s: TwoQubitXState) -> EntropySteeringReport:
-    """Directional steerabilities and steering asymmetry for an X-state."""
+def steerability_entropy(s: TwoQubitXState | XStateColumns) -> EntropySteeringReport:
+    """Directional steerabilities and steering asymmetry for an X-state, or columns of them."""
     b = bloch_coefficients(s)
-    shared = _shared_terms(b)
-    i_ab, i_ba = _entropy_sum(shared, b.p), _entropy_sum(shared, b.q)
-    s_ab = steerability_from_sum(i_ab)
-    s_ba = steerability_from_sum(i_ba)
+    i_ab, i_ba = _entropy_sums(b, b.p, b.q)
+    s_ab, s_ba = steerability_from_sum(i_ab), steerability_from_sum(i_ba)
     return EntropySteeringReport(i_ab=i_ab, i_ba=i_ba, s_ab=s_ab, s_ba=s_ba,
                                  delta=abs(s_ab - s_ba))

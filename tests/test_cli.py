@@ -24,7 +24,7 @@ from hawksteer.hawking import (
     MonogamyResiduals,
     monogamy_residuals,
     monogamy_threshold,
-    pipeline_grid,
+    pipeline_columns,
 )
 from hawksteer.selfcheck import MONOGAMY_TOL, ORACLE_TOL, PIPELINE_TOL
 from hawksteer.svgplot import render_lineplot
@@ -510,16 +510,16 @@ class TestPlot:
 
 # For each selfcheck check, a stand-in that makes its oracle, pipeline or
 # residuals NaN: (module, attribute, replacement).
-def nan_pipeline_grid(params):
-    return {pair: [dataclasses.replace(r, concurrence=math.nan) for r in reports]
-            for pair, reports in pipeline_grid(params).items()}
+def nan_pipeline_columns(params):
+    return {pair: dataclasses.replace(col, concurrence=np.full_like(col.concurrence, math.nan))
+            for pair, col in pipeline_columns(params).items()}
 
 
 NAN_PATCHES = {
     "check_concurrence_oracle": (steering_ent, "concurrence_oracle", lambda d: math.nan),
     "check_entropy_oracle": (steering_entropy, "entropy_sum_from_oracle",
                              lambda d, direction: math.nan),
-    "check_pipeline_equivalence": (selfcheck, "pipeline_grid", nan_pipeline_grid),
+    "check_pipeline_equivalence": (selfcheck, "pipeline_columns", nan_pipeline_columns),
     "check_monogamy": (selfcheck, "monogamy_grid",
                        lambda params: [MonogamyResiduals(r1=math.nan, r2=0.0, r3=None, r4=None)
                                        for _ in params]),

@@ -25,6 +25,7 @@ from hawksteer.hawking import (
     monogamy_grid,
     monogamy_residuals,
     monogamy_threshold,
+    pipeline_columns,
     pipeline_grid,
     pipeline_report,
     reduced_xstate,
@@ -32,6 +33,7 @@ from hawksteer.hawking import (
     tripartite_states,
 )
 from hawksteer.qstate import partial_traces
+from hawksteer.selfcheck import ENT_FIELDS, ENTROPY_FIELDS, MONOGAMY_TOL, PIPELINE_TOL
 from hawksteer.steering_ent import BRANCH_CORNER, BRANCH_INNER, steerability_ent
 from hawksteer.steering_entropy import keep_above, steerability_entropy, steerability_from_sum
 
@@ -287,6 +289,55 @@ class TestStackedPipeline:
     def test_empty_grid(self):
         assert pipeline_grid([]) == {pair: [] for pair in PAIRS}
         assert monogamy_grid([]) == []
+
+
+def sized_log_ratios(max_size: int = 64):
+    """Lists of log10(T / omega), log-uniform in [-320, 300], sizes drawn uniformly from 1..max_size."""
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(st.floats(-320.0, 300.0), min_size=n, max_size=n))
+
+
+class TestPipelineVsClosedForm:
+    """The stacked pipeline against the closed-form column report, over the whole domain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sized_log_ratios(), st.sampled_from([1.0, 0.37]))
+    # T -> 0: S = 0, so the concurrence and log arguments hit exact zeros.
+    @example([-320.0], 1.0)
+    @example([-320.0, -5.0, -3.2, 0.0, 300.0], 0.37)
+    def test_within_pipeline_tol(self, log_ratios, omega):
+        params = [HawkingParams(omega * 10.0 ** u, omega) for u in log_ratios]
+        grid, columns = pipeline_grid(params), pipeline_columns(params)
+        closed = hawking.amplitudes_grid(params)
+        for pair in PAIRS:
+            want = closed_form_report_from_amplitudes(closed, pair)
+            for half, fields in (("entropy", ENTROPY_FIELDS), ("ent", ENT_FIELDS)):
+                for f in fields:
+                    w = getattr(getattr(want, half), f)
+                    got = [getattr(getattr(r, half), f) for r in grid[pair]]
+                    assert np.abs(np.asarray(got) - w).max() <= PIPELINE_TOL, (pair, f)
+                    assert np.array_equal(bits(got), bits(getattr(getattr(columns[pair], half), f)))
+            got = [r.concurrence for r in grid[pair]]
+            assert np.abs(np.asarray(got) - want.concurrence).max() <= PIPELINE_TOL, pair
+            assert np.array_equal(bits(got), bits(columns[pair].concurrence))
+
+
+class TestMonogamyAroundThreshold:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from([1.0, 0.37]), st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u)),
+           st.lists(st.floats(-3.0, 3.0), max_size=61), st.randoms(use_true_random=False))
+    def test_residuals_within_tol_and_r3_r4_from_threshold(self, omega, log_factors, rnd):
+        # A grid through T = omega / ln(sqrt 3) and its float neighbours, the
+        # rest log-uniform within three decades of it, in random order.
+        th = monogamy_threshold(omega)
+        temps = [math.nextafter(th, 0.0), th, math.nextafter(th, math.inf),
+                 *(th * 10.0 ** u for u in log_factors)]
+        rnd.shuffle(temps)
+        residuals = monogamy_grid([HawkingParams(t, omega) for t in temps])
+        for t, r in zip(temps, residuals):
+            assert (r.r3 is None, r.r4 is None) == (t <= th, t <= th), t
+            assert len(r.applicable) == (2 if t <= th else 4)
+            assert max(abs(v) for v in r.applicable) <= MONOGAMY_TOL, (t, r)
 
 
 def directional_bits(s) -> tuple[np.ndarray, np.ndarray]:

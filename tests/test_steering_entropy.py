@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from hawksteer import steering_entropy
 from hawksteer.hawking import PAIRS, HawkingParams, amplitudes, reductions_at
-from hawksteer.qstate import TwoQubitXState, bloch_coefficients, embed_dense
+from hawksteer.qstate import TwoQubitXState, XStateColumns, bloch_coefficients, embed_dense
 from hawksteer.selfcheck import random_xstates, reduced_state_population
+from hawksteer.steering_ent import concurrence_xstate, steerability_ent
 from hawksteer.steering_entropy import (
     A_TO_B,
     B_TO_A,
+    STEER_FLUSH,
     BlochXCoefficients,
     entropy_sum_closed_form,
     entropy_sum_from_oracle,
@@ -185,9 +187,21 @@ class TestSteerability:
             assert a.delta == b.delta
 
 
+def xlogx(x):
+    """x log2 x of one float, one np.log2 call each, clamped and checked as in the closed form."""
+    if x <= 0.0:
+        if x < -steering_entropy.LOG_CLAMP:
+            raise ValueError(f"coefficient out of range: log argument {x:.3e}")
+        return 0.0
+    return x * np.log2(x)
+
+
+def pair(c):
+    return xlogx(1.0 + c) + xlogx(1.0 - c)
+
+
 def old_closed_form(b, direction):
     """One direction's sum as it was evaluated on its own, every term recomputed."""
-    xlogx, pair = steering_entropy._xlogx, steering_entropy._pair
     quad = 0.5 * math.fsum((
         xlogx((1.0 + b.c3) + (b.p + b.q)),
         xlogx((1.0 + b.c3) - (b.p + b.q)),
@@ -260,3 +274,120 @@ class TestSharedTerms:
         for direction in (A_TO_B, B_TO_A):
             assert outcome(entropy_sum_closed_form, b, direction) == \
                 outcome(old_closed_form, b, direction)
+
+
+SQRT3 = math.sqrt(3.0)
+
+
+def reference_measures(s):
+    """The one-state measures as first written: per-term np.log2, max() and if/else.
+
+    The nine numbers of a BipartitionReport, then the two branch labels.
+    """
+    b = bloch_coefficients(s)
+    i_ab, i_ba = old_closed_form(b, A_TO_B), old_closed_form(b, B_TO_A)
+    s_ab, s_ba = ((i - 2.0) / 4.0 for i in (i_ab, i_ba))
+    s_ab, s_ba = (x if x > STEER_FLUSH else 0.0 for x in (s_ab, s_ba))
+    corner, inner = s.p11 * s.p44, s.p22 * s.p33
+    cross = 0.25 * (s.p11 + s.p44) * (s.p22 + s.p33)
+    qa = 0.5 * (2.0 - SQRT3) * corner + 0.5 * (2.0 + SQRT3) * inner + cross
+    qb = 0.25 * (s.p11 - s.p44) * (s.p22 - s.p33)
+    qc = 0.5 * (2.0 + SQRT3) * corner + 0.5 * (2.0 - SQRT3) * inner + cross
+    t, branches = [], []
+    for sign in (-1.0, 1.0):
+        c = 8.0 / SQRT3 * (s.c14 * s.c14 - qa + sign * qb)
+        i = 8.0 / SQRT3 * (s.c23 * s.c23 - qc + sign * qb)
+        t.append(max(0.0, c) if c >= i else max(0.0, i))
+        branches.append("corner" if c >= i else "inner")
+    conc = 2.0 * max(abs(s.c14) - np.sqrt(s.p22 * s.p33), abs(s.c23) - np.sqrt(s.p11 * s.p44), 0.0)
+    return (i_ab, i_ba, s_ab, s_ba, abs(s_ab - s_ba), t[0], t[1], abs(t[0] - t[1]), conc), \
+        tuple(branches)
+
+
+def measures(s):
+    """The same from steerability_entropy, steerability_ent and concurrence_xstate."""
+    e, w = steerability_entropy(s), steerability_ent(s)
+    return (e.i_ab, e.i_ba, e.s_ab, e.s_ba, e.delta, w.t_ab, w.t_ba, w.delta,
+            concurrence_xstate(s)), (w.branch_ab, w.branch_ba)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_column_equals_per_state(states):
+    values, branches = measures(XStateColumns.of(states))
+    for v in values + branches:
+        assert isinstance(v, np.ndarray) and v.shape == (len(states),)
+    assert all(v.dtype == np.float64 for v in values)
+    rows = [measures(s) for s in states]
+    for s, (got, got_branches) in zip(states, rows):
+        want, want_branches = reference_measures(s)
+        assert np.array_equal(bits(got), bits(want)), s
+        assert tuple(map(type, got)) == tuple(map(type, want)), s
+        assert got_branches == want_branches, s
+    assert np.array_equal(bits(np.array(values).T),
+                          bits(np.reshape([got for got, _ in rows], (-1, len(values)))))
+    assert list(zip(*(b.tolist() for b in branches))) == [b for _, b in rows]
+
+
+class TestColumnMeasures:
+    """The measures of N states as one column against each state's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(xstates(), min_size=1, max_size=40))
+    def test_random_rank_deficient_boundary_and_reductions(self, states):
+        assert_column_equals_per_state(states)
+        # The swapped states measure the other direction.
+        assert_column_equals_per_state([s.swapped() for s in states])
+
+    def test_one_state_and_none(self):
+        # MIXED clamps its concurrence and both witness values to 0.0.
+        for states in ([MIXED], [BELL], [MIXED, BELL], []):
+            assert_column_equals_per_state(states)
+
+    def test_selfcheck_states(self):
+        states = random_xstates(1000) + reduced_state_population()
+        assert_column_equals_per_state(states + [s.swapped() for s in states])
+
+    def test_nan_and_signed_zero_fields(self):
+        # No validated state has them, but a column keeps one state's
+        # semantics for NaN and -0.0 too (max(0.0, x) drops both).
+        rows = [[0.5, 0.0, 0.0, 0.5, 0.5, 0.0], [0.5, -0.0, -0.0, 0.5, 0.5, -0.0],
+                [-0.0, 0.5, 0.5, -0.0, -0.0, 0.5], [0.25, 0.25, 0.25, 0.25, math.nan, 0.0],
+                [0.25, math.nan, 0.25, 0.25, 0.1, 0.1], [math.nan] * 6]
+        values, branches = measures(XStateColumns(*np.array(rows).T))
+        for k, row in enumerate(rows):
+            # One state's fields as floats, not validated.
+            want, want_branches = reference_measures(XStateColumns(*row))
+            got, got_branches = measures(XStateColumns(*row))
+            assert np.array_equal(bits(got), bits(want)), row
+            assert tuple(map(type, got)) == tuple(map(type, want)), row
+            assert got_branches == want_branches, row
+            assert np.array_equal(bits([v[k] for v in values]), bits(want)), row
+            assert tuple(b[k] for b in branches) == want_branches, row
+
+    @pytest.mark.parametrize("at", [0, 4, 9])
+    def test_bad_state_raises_its_one_state_text(self, at):
+        # c1's pair fails before c2's; the q after it fails on quad, an earlier
+        # term, but in a later state.
+        bad = BlochXCoefficients(c1=1.5, c2=1.7, c3=0.0, p=0.0, q=0.0)
+        later = BlochXCoefficients(c1=0.0, c2=0.0, c3=0.0, p=0.0, q=2.0)
+        good = [bloch_coefficients(s) for s in random_xstates(9)]
+        rows = good[:at] + [bad] + ([later] if at < 9 else []) + good[at:]
+        col = BlochXCoefficients(*np.array(rows).T)
+        for direction in (A_TO_B, B_TO_A):
+            want = outcome(old_closed_form, bad, direction)
+            assert want[0] == "error"
+            assert outcome(entropy_sum_closed_form, col, direction) == want
+
+        def both(b):
+            return [old_closed_form(b, A_TO_B), old_closed_form(b, B_TO_A)]
+
+        def report(states):
+            rep = steerability_entropy(states)
+            return [rep.i_ab, rep.i_ba]
+
+        with mock.patch.object(steering_entropy, "bloch_coefficients", lambda s: col):
+            assert outcome(report, XStateColumns.of(random_xstates(len(rows)))) == \
+                outcome(both, bad)
