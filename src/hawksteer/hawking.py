@@ -64,7 +64,13 @@ class HawkingAmplitudes:
 #: Analytic zero-temperature limit (frozen vacuum).
 FROZEN = HawkingAmplitudes(c_amp=1.0, s_amp=0.0)
 
-_LIBM = {fn: np.frompyfunc(fn, 1, 1) for fn in (math.exp, math.sqrt, math.log2)}
+
+def _square(x):
+    """x ** 2: for a float or a numpy scalar that is libm's pow, not a multiply."""
+    return x ** 2
+
+
+_LIBM = {fn: np.frompyfunc(fn, 1, 1) for fn in (math.exp, math.sqrt, math.log2, _square)}
 
 
 def _libm(fn, x):
@@ -273,29 +279,6 @@ def pipeline_columns(params: Sequence[HawkingParams]) -> dict[str, BipartitionRe
             for pair, reds in zip(PAIRS, _reductions(amplitudes_grid(params)))}
 
 
-def _rows(col: BipartitionReport) -> list[BipartitionReport]:
-    """A column report's per-state reports, with the one-state measures' types.
-
-    Entropic fields are fsum's floats; t_ab and t_ba are what keep_above
-    gives a reduction's np.float64; a reduction's concurrence never clamps
-    (one of its terms is |c| - sqrt(0.0 * p) >= 0), so it stays np.float64.
-    """
-    e, w = col.entropy, col.ent
-    entropy = zip(*(x.tolist() for x in (e.i_ab, e.i_ba, e.s_ab, e.s_ba, e.delta)))
-    rows = []
-    for fields, t_ab, t_ba, b_ab, b_ba, c in zip(entropy, w.t_ab, w.t_ba, w.branch_ab.tolist(),
-                                                  w.branch_ba.tolist(), col.concurrence):
-        t_ab, t_ba = keep_above(t_ab, 0.0), keep_above(t_ba, 0.0)
-        rows.append(BipartitionReport(col.pair, EntropySteeringReport(*fields),
-                                      EntSteeringReport(t_ab, t_ba, abs(t_ab - t_ba), b_ab, b_ba), c))
-    return rows
-
-
-def pipeline_grid(params: Sequence[HawkingParams]) -> dict[str, list[BipartitionReport]]:
-    """pipeline_report at every params for every pair, from pipeline_columns, bit for bit."""
-    return {pair: _rows(col) for pair, col in pipeline_columns(params).items()}
-
-
 # ---------------------------------------------------------------------------
 # Critical temperatures
 
@@ -484,26 +467,32 @@ def monogamy_residuals(p: HawkingParams) -> MonogamyResiduals:
 
     The three pipeline_reports at p share one remembered set of reductions.
     """
-    return _residuals(p, *(pipeline_report(p, pair) for pair in PAIRS))
+    return _applicable(p, *_residuals(*(pipeline_report(p, pair) for pair in PAIRS)))
 
 
 def monogamy_grid(params: Sequence[HawkingParams]) -> list[MonogamyResiduals]:
-    """monogamy_residuals at every params, from one pipeline_grid."""
-    reports = pipeline_grid(params)
-    return [_residuals(*row) for row in zip(params, *(reports[pair] for pair in PAIRS))]
+    """monogamy_residuals at every params, from one pipeline_columns, bit for bit."""
+    columns = pipeline_columns(params)
+    rows = zip(*_residuals(*(columns[pair] for pair in PAIRS)))
+    return [_applicable(p, *row) for p, row in zip(params, rows)]
 
 
-def _residuals(p: HawkingParams, ab: BipartitionReport, abbar: BipartitionReport,
-               bbbar: BipartitionReport) -> MonogamyResiduals:
-    """The four residuals at p from its AB, ABbar and BBbar pipeline reports."""
-    cab2 = ab.concurrence ** 2
-    cabbar2 = abbar.concurrence ** 2
-    cbbbar2 = bbbar.concurrence ** 2
+def _residuals(ab: BipartitionReport, abbar: BipartitionReport, bbbar: BipartitionReport):
+    """r1..r4 from the AB, ABbar and BBbar pipeline reports: floats, or float64 columns.
+
+    A concurrence is squared by libm's pow, as a float's ** 2 is; numpy's
+    array ** 2 is a multiply, which differs from it in the last ulp.
+    """
+    cab2, cabbar2, cbbbar2 = (_libm(_square, r.concurrence) for r in (ab, abbar, bbbar))
     r1 = (ab.ent.t_ab - abbar.ent.t_ab) - (cab2 - cabbar2)
     r2 = (ab.ent.t_ab + abbar.ent.t_ab) - (cab2 + cabbar2 - 2.0 / SQRT3 * cbbbar2)
+    r3 = 0.5 * (3.0 - SQRT3) * (ab.ent.t_ba - abbar.ent.t_ba) - (cab2 - cabbar2)
+    r4 = 0.5 * (3.0 + SQRT3) * (ab.ent.t_ba + abbar.ent.t_ba) - (cab2 + cabbar2)
+    return r1, r2, r3, r4
+
+
+def _applicable(p: HawkingParams, r1, r2, r3, r4) -> MonogamyResiduals:
+    """The residuals at p, with r3 and r4 None at or below monogamy_threshold."""
     if p.temperature > monogamy_threshold(p.omega):
-        r3 = 0.5 * (3.0 - SQRT3) * (ab.ent.t_ba - abbar.ent.t_ba) - (cab2 - cabbar2)
-        r4 = 0.5 * (3.0 + SQRT3) * (ab.ent.t_ba + abbar.ent.t_ba) - (cab2 + cabbar2)
-    else:
-        r3 = r4 = None
-    return MonogamyResiduals(r1=r1, r2=r2, r3=r3, r4=r4)
+        return MonogamyResiduals(r1=r1, r2=r2, r3=r3, r4=r4)
+    return MonogamyResiduals(r1=r1, r2=r2, r3=None, r4=None)

@@ -20,7 +20,7 @@ from .hawking import (
     pipeline_columns,
     reduced_xstate,
 )
-from .qstate import TwoQubitXState, embed_dense, bloch_coefficients
+from .qstate import TwoQubitXState, XStateColumns, bloch_coefficients, embed_dense
 
 ORACLE_TOL = 1e-10
 PIPELINE_TOL = 1e-10
@@ -62,24 +62,37 @@ def _verdict(name: str, label: str, diffs, tol: float) -> tuple[str, bool, str]:
     return name, worst <= tol, f"{label} {worst:.3e}"
 
 
+def oracle_states(n_random: int = 1000) -> list[TwoQubitXState]:
+    """The oracle checks' states: random_xstates, then reduced_state_population."""
+    return random_xstates(n_random) + reduced_state_population()
+
+
+def concurrence_diffs(states: list[TwoQubitXState]) -> np.ndarray:
+    """Closed form - spin-flip oracle per state; the closed form as one column."""
+    closed = steering_ent.concurrence_xstate(XStateColumns.of(states))
+    return closed - [steering_ent.concurrence_oracle(embed_dense(s)) for s in states]
+
+
+def entropy_diffs(states: list[TwoQubitXState]) -> np.ndarray:
+    """Closed form - calibrated oracle per state, A->B row then B->A row.
+
+    The closed forms are one column per direction, the oracle runs per state.
+    """
+    b = bloch_coefficients(XStateColumns.of(states))
+    dense = [embed_dense(s) for s in states]
+    return np.array([steering_entropy.entropy_sum_closed_form(b, direction)
+                     - [steering_entropy.entropy_sum_from_oracle(d, direction) for d in dense]
+                     for direction in (steering_entropy.A_TO_B, steering_entropy.B_TO_A)])
+
+
 def check_concurrence_oracle(n_random: int = 1000) -> tuple[str, bool, str]:
-    diffs = [steering_ent.concurrence_xstate(s)
-             - steering_ent.concurrence_oracle(embed_dense(s))
-             for s in random_xstates(n_random) + reduced_state_population()]
     return _verdict("concurrence closed form vs spin-flip oracle",
-                    "max discrepancy", diffs, ORACLE_TOL)
+                    "max discrepancy", concurrence_diffs(oracle_states(n_random)), ORACLE_TOL)
 
 
 def check_entropy_oracle(n_random: int = 1000) -> tuple[str, bool, str]:
-    diffs = []
-    for s in random_xstates(n_random) + reduced_state_population():
-        d = embed_dense(s)
-        b = bloch_coefficients(s)
-        for direction in (steering_entropy.A_TO_B, steering_entropy.B_TO_A):
-            closed = steering_entropy.entropy_sum_closed_form(b, direction)
-            diffs.append(closed - steering_entropy.entropy_sum_from_oracle(d, direction))
     return _verdict("entropy sum closed form vs measurement-statistics oracle",
-                    "max discrepancy", diffs, ORACLE_TOL)
+                    "max discrepancy", entropy_diffs(oracle_states(n_random)), ORACLE_TOL)
 
 
 def _grid_params(n_grid: int) -> list[HawkingParams]:

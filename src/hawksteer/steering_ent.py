@@ -64,6 +64,32 @@ def concurrence_xstate(s: TwoQubitXState | XStateColumns):
     return 2.0 * np.where(0.0 > m, 0.0, m)
 
 
+#: Eigenvalues of rho below this are refined by _exact_projection.
+_RITZ_BELOW = 1e-10
+
+
+def _scaled_int(x: float) -> int:
+    """x * 2^1074 as an exact int: every finite float is a multiple of 2^-1074."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _exact_projection(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v^H m v for an (n, n) m and an (n, k) v, each entry exact from the floats, rounded once."""
+    def exact(a):  # complex floats as (re, im) pairs of scaled ints
+        return [[(_scaled_int(z.real), _scaled_int(z.imag)) for z in row] for row in a.tolist()]
+
+    def dot(x, y):  # sum of x_i * y_i over (re, im) pairs
+        return (sum(a * c - b * d for (a, b), (c, d) in zip(x, y)),
+                sum(a * d + b * c for (a, b), (c, d) in zip(x, y)))
+
+    cols = list(zip(*exact(v)))
+    mv = [[dot(row, col) for row in exact(m)] for col in cols]  # the columns of m v
+    scale = 1 << (3 * 1074)
+    return np.array([[complex(*(x / scale for x in dot([(re, -im) for re, im in col], w)))
+                      for w in mv] for col in cols])
+
+
 def concurrence_oracle(d: DenseState) -> float:
     """Spin-flip eigenvalue concurrence for an arbitrary two-qubit state.
 
@@ -79,9 +105,14 @@ def concurrence_oracle(d: DenseState) -> float:
     ev, vec = np.linalg.eigh(d.matrix)
     if ev.min() < -PSD_TOL:
         raise InvalidStateError(f"invalid state: eigenvalue {ev.min():.3e}")
-    # Roundoff-scale eigenvalues must be flushed to exact zero: sqrt would
-    # amplify 1e-17 noise to 1e-8.5 in the null space otherwise.
-    ev = np.where(ev < 1e-14, 0.0, ev)
+    # eigh gets an eigenvalue only to ~1e-16 absolute, and sqrt would amplify
+    # that to ~1e-8 for a small one, so the small eigenvalues are taken again
+    # from rho itself on their eigenvectors' span, in exact arithmetic.
+    small = ev < _RITZ_BELOW
+    if small.any():
+        mu, u = np.linalg.eigh(_exact_projection(d.matrix, vec[:, small]))
+        ev = np.concatenate([np.maximum(mu, 0.0), ev[~small]])
+        vec = np.concatenate([vec[:, small] @ u, vec[:, ~small]], axis=1)
     sqrt_rho = (vec * np.sqrt(ev)) @ vec.conj().T
     sqrt_flipped = _SPIN_FLIP @ sqrt_rho.conj() @ _SPIN_FLIP
     lam = np.linalg.svd(sqrt_flipped @ sqrt_rho, compute_uv=False)

@@ -3,10 +3,17 @@
 Hand-rolled on purpose: output bytes depend only on the input data, so
 plots can be golden-file tested.  One polyline per curve on a fixed
 800x500 canvas; no external plotting library involved.
+
+Every coordinate is written as `_fnum` writes it: 3 decimals, correctly
+rounded, trailing zeros and point stripped, "-0" kept for a negative value
+that rounds to zero, and nan/inf as Python prints them.  A polyline's
+coordinates are formatted a column at a time (`_fnum_block`), to the same
+bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain
 
@@ -21,6 +28,52 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _fnum(v: float) -> str:
     return f"{v:.3f}".rstrip("0").rstrip(".")
+
+
+# |v| below _TABLE_MAX is read from _digit_tables.  Below it |v| * 1000 is
+# under 1e7 < 2^24, so the product's rounding error is at most 2^-30, well
+# inside _TIE_MARGIN.
+_TABLE_MAX = 1e4
+_TIE_MARGIN = 1e-6
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The integer parts 0..10^4 and the stripped fractions of 0..999 thousandths.
+
+    Each a uint8 table with one NUL-padded token per row: str(i), and
+    ".jjj" without trailing zeros ("" for 0).  Built on first use.
+    """
+    ints = np.array([str(i).encode() for i in range(int(_TABLE_MAX) + 1)], dtype="S5")
+    fracs = np.array([f".{j:03d}".rstrip("0").rstrip(".").encode() for j in range(1000)],
+                     dtype="S4")
+    return ints.view(np.uint8).reshape(-1, 5), fracs.view(np.uint8).reshape(-1, 4)
+
+
+def _fnum_block(v: np.ndarray) -> np.ndarray:
+    """_fnum of each float64 in v, as one (N, w) uint8 block of NUL-padded rows.
+
+    The token comes from k = rint(|v| * 1000) and the digit tables, with the
+    sign from signbit, where that rounding is certain: |v| < _TABLE_MAX and
+    |v| * 1000 farther than _TIE_MARGIN from a rounding tie.  Every other
+    value (nan, inf, past the tables or near a tie) is formatted by _fnum.
+    """
+    ints, fracs = _digit_tables()
+    a = np.abs(v)
+    inside = a < _TABLE_MAX  # False for nan and inf
+    p = np.where(inside, a, 0.0) * 1000.0
+    k = np.rint(p)
+    certain = inside & (np.abs(p - k) < 0.5 - _TIE_MARGIN)
+    q, r = np.divmod(k.astype(np.intp), 1000)
+    sign = np.signbit(v).astype(np.uint8) * ord("-")
+    block = np.concatenate([sign[:, None], ints[q], fracs[r]], axis=1)
+    rest = np.flatnonzero(~certain)
+    if rest.size:
+        tokens = np.array([_fnum(u).encode() for u in v[rest].tolist()])
+        width = max(block.shape[1], tokens.itemsize)
+        block = np.pad(block, ((0, 0), (0, width - block.shape[1])))
+        block[rest] = tokens.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    return block
 
 
 def _widen(lo: float, hi: float) -> float:
@@ -44,6 +97,9 @@ def render_lineplot(
     """Render curves sharing the x grid into a self-contained SVG string."""
     if not x or not curves:
         raise ValueError("nothing to plot")
+    for name, series in curves:
+        if len(series) != len(x):
+            raise ValueError(f"curve {name!r} has {len(series)} points, x has {len(x)}")
     xmin = min(x)
     xmax = _widen(xmin, max(x))
     ys = [series for _, series in curves]
@@ -95,10 +151,13 @@ def render_lineplot(
     with np.errstate(over="ignore", invalid="ignore"):
         px = sx(np.asarray(x, dtype=np.float64))
         pys = [sy(np.asarray(series, dtype=np.float64)) for series in ys]
-    fx = list(map(_fnum, px.tolist()))
+    # One polyline is one byte block, each row "x,y " with NUL padding.
+    fx = _fnum_block(px)
+    comma, space = (np.full((len(fx), 1), ord(c), np.uint8) for c in ", ")
     for k, ((name, _), py) in enumerate(zip(curves, pys)):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(map(",".join, zip(fx, map(_fnum, py.tolist()))))
+        row = np.concatenate([fx, comma, _fnum_block(py), space], axis=1)
+        pts = row.tobytes().replace(b"\0", b"")[:-1].decode("ascii")
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         ly = MARGIN_TOP + 15 + 18 * k

@@ -26,7 +26,6 @@ from hawksteer.hawking import (
     monogamy_residuals,
     monogamy_threshold,
     pipeline_columns,
-    pipeline_grid,
     pipeline_report,
     reduced_xstate,
     reductions_at,
@@ -251,7 +250,7 @@ def field_types(values) -> tuple[type, ...]:
 
 
 class TestStackedPipeline:
-    """pipeline_grid and monogamy_grid against the per-state path, bit for bit."""
+    """pipeline_columns and monogamy_grid against the per-state path, bit for bit."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 64).flatmap(
@@ -261,17 +260,18 @@ class TestStackedPipeline:
         # Stack sizes drawn uniformly from 1..64, not lists' small-biased sizes.
         # T / omega log-uniform in [1e-320, 1e300].
         params = [HawkingParams(omega * 10.0 ** u, omega) for u in log_ratios]
-        grid = pipeline_grid(params)
-        assert list(grid) == list(PAIRS)
+        columns = pipeline_columns(params)
+        assert list(columns) == list(PAIRS)
         for pair in PAIRS:
-            assert len(grid[pair]) == len(params)
-            for p, got in zip(params, grid[pair]):
+            col = columns[pair]
+            assert col.pair == pair
+            got = np.column_stack(report_fields(col))
+            assert got.shape == (len(params), 9)
+            for i, p in enumerate(params):
                 want = pipeline_report(p, pair)
-                assert np.array_equal(bits(report_fields(got)), bits(report_fields(want)))
-                assert field_types(report_fields(got)) == field_types(report_fields(want))
-                assert (got.pair, got.ent.branch_ab, got.ent.branch_ba) == \
-                    (want.pair, want.ent.branch_ab, want.ent.branch_ba)
-                assert repr(got) == repr(want)
+                assert np.array_equal(bits(got[i]), bits(report_fields(want)))
+                assert (col.ent.branch_ab[i], col.ent.branch_ba[i]) == \
+                    (want.ent.branch_ab, want.ent.branch_ba)
         for p, got in zip(params, monogamy_grid(params)):
             assert repr(got) == repr(monogamy_residuals(p))
 
@@ -287,7 +287,9 @@ class TestStackedPipeline:
             assert [r.r3 is None for r in got] == [t <= th for t in temps]
 
     def test_empty_grid(self):
-        assert pipeline_grid([]) == {pair: [] for pair in PAIRS}
+        columns = pipeline_columns([])
+        assert list(columns) == list(PAIRS)
+        assert all(len(field) == 0 for col in columns.values() for field in report_fields(col))
         assert monogamy_grid([]) == []
 
 
@@ -307,17 +309,20 @@ class TestPipelineVsClosedForm:
     @example([-320.0, -5.0, -3.2, 0.0, 300.0], 0.37)
     def test_within_pipeline_tol(self, log_ratios, omega):
         params = [HawkingParams(omega * 10.0 ** u, omega) for u in log_ratios]
-        grid, columns = pipeline_grid(params), pipeline_columns(params)
+        columns = pipeline_columns(params)
+        # Temperature by temperature, so the three pairs share remembered reductions.
+        per_state = dict(zip(PAIRS, zip(*([pipeline_report(p, pair) for pair in PAIRS]
+                                          for p in params))))
         closed = hawking.amplitudes_grid(params)
         for pair in PAIRS:
             want = closed_form_report_from_amplitudes(closed, pair)
             for half, fields in (("entropy", ENTROPY_FIELDS), ("ent", ENT_FIELDS)):
                 for f in fields:
                     w = getattr(getattr(want, half), f)
-                    got = [getattr(getattr(r, half), f) for r in grid[pair]]
+                    got = [getattr(getattr(r, half), f) for r in per_state[pair]]
                     assert np.abs(np.asarray(got) - w).max() <= PIPELINE_TOL, (pair, f)
                     assert np.array_equal(bits(got), bits(getattr(getattr(columns[pair], half), f)))
-            got = [r.concurrence for r in grid[pair]]
+            got = [r.concurrence for r in per_state[pair]]
             assert np.abs(np.asarray(got) - want.concurrence).max() <= PIPELINE_TOL, pair
             assert np.array_equal(bits(got), bits(columns[pair].concurrence))
 

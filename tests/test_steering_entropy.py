@@ -221,7 +221,11 @@ def outcome(fn, *args):
 
 
 def xstates():
-    """Random, rank-deficient and boundary X-states, and pipeline reductions."""
+    """Random, rank-deficient and boundary X-states, and pipeline reductions.
+
+    Populations reach down to subnormal, so eigenvalues sit anywhere between
+    exact zero and the bulk.
+    """
     def build(raw, zeros, f14, f23):
         raw = [0.0 if z else r for r, z in zip(raw, zeros)]
         if sum(raw) == 0.0:
@@ -232,7 +236,7 @@ def xstates():
 
     # +-1 puts a coherence on its PSD boundary |c14| = sqrt(p11 p44).
     frac = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
-    pops = st.tuples(*[st.floats(1e-6, 1.0)] * 4)
+    pops = st.tuples(*[st.floats(0.0, 1.0)] * 4)
     zeros = st.one_of(st.just((False,) * 4), st.tuples(*[st.booleans()] * 4))
     # T / omega log-uniform in [1e-320, 1e300]; below ~1e-308, omega / T is inf,
     # the frozen limit.

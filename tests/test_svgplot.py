@@ -16,6 +16,7 @@ from hawksteer.svgplot import (
     PALETTE,
     WIDTH,
     _fnum,
+    _fnum_block,
     _ticks,
     render_lineplot,
 )
@@ -125,6 +126,43 @@ def draw_grid(rng: np.random.Generator, grid: str, n: int) -> list[float]:
             "log": lambda: np.geomspace(1e-3, 1e3, n),
             "unsorted": lambda: rng.uniform(-5.0, 5.0, n),
             "constant": lambda: np.full(n, 1.5)}[grid]().tolist()
+
+
+def near_tie(k: int, ulps: int) -> float:
+    """The float `ulps` steps away from (k + 0.5) / 1000, where 3-decimal rounding flips."""
+    v = (k + 0.5) / 1000
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+# Any float64, weighted towards where the column formatter must match _fnum
+# exactly: near ties (on both sides of the 10^4 table edge), negatives that
+# round to "-0", signed zeros and NaNs, subnormals, and |v| from 1e4 to 1e308.
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(near_tie, st.integers(0, 2 * 10**7), st.integers(-4, 4)).flatmap(
+        lambda v: st.sampled_from([v, -v])),
+    st.floats(-0.0005, -0.0),
+    st.floats(1e4, 1e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(0.0, 800.0),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     9999.9995, 9999.9996, 1e4, 0.0625, 0.1875, -0.0625]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ANY_FLOAT, min_size=1, max_size=200))
+def test_fnum_block_equals_fnum(values):
+    block = _fnum_block(np.array(values, dtype=np.float64))
+    assert block.dtype == np.uint8 and block.shape[0] == len(values)
+    tokens = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in block]
+    assert tokens == [_fnum(v) for v in values]
+
+
+def test_curve_length_must_match_x():
+    with pytest.raises(ValueError, match="curve 'b' has 2 points, x has 3"):
+        render_lineplot([0.0, 1.0, 2.0], [("a", [1.0, 2.0, 3.0]), ("b", [1.0, 2.0])], "x", "y")
 
 
 KINDS = ("ties", "integral", "constant", "non-finite", "uniform")
