@@ -13,6 +13,8 @@ import math
 import operator
 import sys
 
+import numpy as np
+
 from . import selfcheck as selfcheck_mod
 from .hawking import (
     PAIRS,
@@ -20,12 +22,14 @@ from .hawking import (
     critical_temperatures,
     monogamy_grid,
     monogamy_threshold,
+    require_positive,
 )
 from .selfcheck import MONOGAMY_TOL
 from .sweep import MEASURES, PAIR_FIELDS, SweepConfig, render_table, run_sweep, to_csv, to_json
 from .svgplot import render_lineplot
 
 _PANEL_PAIR = {"fig1": "AB", "fig2": "ABbar", "fig3": "BBbar"}
+_CURVES = tuple(f for f in PAIR_FIELDS if f != "concurrence")  # the steerability curves
 
 
 def _write_output(text: str, path: str | None):
@@ -79,6 +83,7 @@ def cmd_monogamy(args) -> int:
         except ValueError:
             raise ValueError(f"--t-values entry {entry!r} is not a number") from None
         params.append(HawkingParams(t, args.omega))
+    require_positive("omega / ln(sqrt(3))", threshold)  # not inf: r3 and r4 apply above it
     rows = []
     for p, res in zip(params, monogamy_grid(params)):
         ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
@@ -94,20 +99,18 @@ def cmd_monogamy(args) -> int:
     return 0 if all(r["status"] == "pass" for r in rows) else 1
 
 
-def _read_columns(path: str, pair: str
-                  ) -> tuple[tuple[str, ...], list[tuple[str, tuple[str, ...]]]]:
-    """The t_over_omega cells and the pair's present (field, cells) curve columns.
+def _read_columns(path: str, pair: str) -> tuple[list[float], list[tuple[str, list[float]]]]:
+    """The t_over_omega column and the pair's populated curves (no empty cell).
 
     One streaming pass over the CSV keeps only the picked cells of each row.
     Blank lines are skipped, as csv.DictReader does; every short row is refused.
     """
-    fields = [f for f in PAIR_FIELDS if f != "concurrence"]  # the steerability curves
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
             column = {name: i for i, name in enumerate(header)}
-            present = [f for f in fields if f"{pair}_{f}" in column]
+            present = [f for f in _CURVES if f"{pair}_{f}" in column]
             if not present:
                 raise ValueError(f"missing columns for pair {pair} in {path}")
             if "t_over_omega" not in column:
@@ -124,15 +127,39 @@ def _read_columns(path: str, pair: str
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     x, *cells = zip(*picked) if picked else [()] * (1 + len(present))
-    return x, list(zip(present, cells))
+    return list(map(float, x)), [(f, list(map(float, c))) for f, c in zip(present, cells)
+                                 if "" not in c]  # "": a measure the sweep did not select
+
+
+def _read_panel(path: str, pair: str) -> tuple[np.ndarray, list] | None:
+    """_read_columns' result as float64 columns, by one np.loadtxt that also parses the
+    header's last column, so a short row fails. None for a quote or NUL, a line past csv's
+    field limit, a missing column, no full first data row or curve it fills, a failed parse."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    span = np.diff(np.flatnonzero(np.frombuffer(data, "u1") == 10), prepend=-1, append=len(data))
+    if b'"' in data or b"\0" in data or span.max() > csv.field_size_limit():
+        return None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header, first = next(rows, []), next(filter(None, rows), [])
+        column = {name: i for i, name in enumerate(header)}
+        curves = [(f, column[c]) for f in _CURVES if (c := f"{pair}_{f}") in column
+                  and len(first) >= len(header) and first[column[c]]]
+        if curves and "t_over_omega" in column:
+            cols = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, quotechar=None,
+                              usecols=(column["t_over_omega"], *(i for _, i in curves),
+                                       len(header) - 1), ndmin=2, encoding="utf-8")
+            return cols[:, 0], [(f, cols[:, k]) for k, (f, _) in enumerate(curves, 1)]
+    except (ValueError, csv.Error):
+        pass
+    return None
 
 
 def cmd_plot(args) -> int:
     pair = _PANEL_PAIR[args.panel]
-    x, columns = _read_columns(args.sweep_csv, pair)
-    x = list(map(float, x))
-    curves = [(field, list(map(float, cells))) for field, cells in columns
-              if "" not in cells]  # an empty cell: measure not selected in the sweep
+    x, curves = _read_panel(args.sweep_csv, pair) or _read_columns(args.sweep_csv, pair)
     if not curves:
         raise ValueError(f"no populated curves for pair {pair} in {args.sweep_csv}")
     svg = render_lineplot(x, curves, xlabel="T/ω", ylabel="steerability",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -88,23 +88,25 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def render_lineplot(
-    x: list[float],
-    curves: list[tuple[str, list[float]]],
+    x: Sequence[float] | np.ndarray,
+    curves: Sequence[tuple[str, Sequence[float] | np.ndarray]],
     xlabel: str,
     ylabel: str,
     title: str = "",
 ) -> str:
-    """Render curves sharing the x grid into a self-contained SVG string."""
-    if not x or not curves:
+    """Render curves sharing the x grid (floats or float64 columns) into an SVG string."""
+    x = np.asarray(x, dtype=np.float64)
+    ys = [np.asarray(series, dtype=np.float64) for _, series in curves]
+    if not len(x) or not curves:
         raise ValueError("nothing to plot")
-    for name, series in curves:
+    for (name, _), series in zip(curves, ys):
         if len(series) != len(x):
             raise ValueError(f"curve {name!r} has {len(series)} points, x has {len(x)}")
-    xmin = min(x)
-    xmax = _widen(xmin, max(x))
-    ys = [series for _, series in curves]
-    ymin = min(0.0, min(chain.from_iterable(ys)))
-    ymax = _widen(ymin, max(chain.from_iterable(ys)))
+    xs, flat = x.tolist(), np.concatenate(ys).tolist()  # Python's NaN and -0.0 rules below
+    xmin = min(xs)
+    xmax = _widen(xmin, max(xs))
+    ymin = min(0.0, min(flat))
+    ymax = _widen(ymin, max(flat))
     pad = 0.05 * (ymax - ymin)
     ymax += pad
 
@@ -149,15 +151,15 @@ def render_lineplot(
     # IEEE operations as on one float, so every coordinate is bit-identical.
     # As in Python float arithmetic, an inf or nan cell propagates quietly.
     with np.errstate(over="ignore", invalid="ignore"):
-        px = sx(np.asarray(x, dtype=np.float64))
-        pys = [sy(np.asarray(series, dtype=np.float64)) for series in ys]
+        px = sx(x)
+        pys = [sy(series) for series in ys]
     # One polyline is one byte block, each row "x,y " with NUL padding.
     fx = _fnum_block(px)
     comma, space = (np.full((len(fx), 1), ord(c), np.uint8) for c in ", ")
     for k, ((name, _), py) in enumerate(zip(curves, pys)):
         color = PALETTE[k % len(PALETTE)]
         row = np.concatenate([fx, comma, _fnum_block(py), space], axis=1)
-        pts = row.tobytes().replace(b"\0", b"")[:-1].decode("ascii")
+        pts = row.tobytes().translate(None, b"\0")[:-1].decode("ascii")
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         ly = MARGIN_TOP + 15 + 18 * k

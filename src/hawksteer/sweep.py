@@ -72,7 +72,8 @@ class SweepConfig:
     def temperatures(self) -> np.ndarray:
         if self.grid == "linear":
             return np.linspace(self.t_min, self.t_max, self.steps)
-        return np.geomspace(self.t_min, self.t_max, self.steps)
+        with np.errstate(over="ignore"):  # near the float max; the last point is set to t_max
+            return np.geomspace(self.t_min, self.t_max, self.steps)
 
 
 def columns(cfg: SweepConfig) -> list[str]:

@@ -5,6 +5,8 @@ the test), so a tier-1 result can be reproduced.  `derandomize` implies no
 example database; each test keeps its own `max_examples`.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import settings
 
@@ -24,3 +26,15 @@ def linear_sweep_10k():
     """
     cfg = SweepConfig(omega=1.0, t_min=0.0, t_max=10.0, steps=10_000)
     return cfg, run_sweep(cfg)
+
+
+@pytest.fixture(scope="session")
+def sweeps_10k_by_measures(linear_sweep_10k):
+    """`linear_sweep_10k` under each --measures value: maps "both", "ent" and
+    "entropy" to (config, records) as run_sweep returns them."""
+    cfg, records = linear_sweep_10k
+    sweeps = {cfg.measures: (cfg, records)}
+    for measures in ("ent", "entropy"):
+        other = dataclasses.replace(cfg, measures=measures)
+        sweeps[measures] = other, run_sweep(other)
+    return sweeps

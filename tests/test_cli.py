@@ -158,12 +158,9 @@ class TestJson:
         assert render_table(rows, cols, "json") == json.dumps(rows, indent=2) + "\n"
 
     @pytest.mark.parametrize("measures", ["both", "ent"])
-    def test_large_sweep_same_bytes_as_json_dumps(self, measures, linear_sweep_10k):
+    def test_large_sweep_same_bytes_as_json_dumps(self, measures, sweeps_10k_by_measures):
         # 10^4 rows from T = 0 (the frozen limit); "ent" leaves null cells.
-        cfg, records = linear_sweep_10k
-        if measures != cfg.measures:
-            cfg = dataclasses.replace(cfg, measures=measures)
-            records = run_sweep(cfg)
+        cfg, records = sweeps_10k_by_measures[measures]
         assert to_json(cfg, records) == json.dumps(records, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
@@ -209,6 +206,42 @@ class TestBoundaries:
             captured = capsys.readouterr()
             assert captured.out == "", argv
             assert field in captured.err, argv
+
+    def test_log_grid_to_the_float_max(self, capsys):
+        # geomspace overflows on its way to the last point, then sets it to
+        # t_max: no warning escapes, and the CSV is what it is with warnings off.
+        argv = ["sweep", "--grid", "log", "--t-min", "1", "--t-max",
+                "1.7976931348623157e308", "--steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 0
+        quiet = capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            assert main(argv) == 0
+        assert capsys.readouterr() == quiet
+        t = [row["t_over_omega"] for row in csv.DictReader(quiet.out.splitlines())]
+        assert t[::2] == ["1.0", repr(sys.float_info.max)] and math.isfinite(float(t[1]))
+
+    def test_monogamy_refuses_infinite_threshold(self, capsys):
+        # omega / ln(sqrt 3) overflows for omega > ln(sqrt 3) * float max; the
+        # JSON would hold "threshold": Infinity and every r3/r4 would be n/a.
+        top = sys.float_info.max * math.log(math.sqrt(3.0))
+        for omega in ("1e308", repr(math.nextafter(top, math.inf)), repr(sys.float_info.max)):
+            for fmt in ("csv", "json"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert main(["monogamy", "--omega", omega, "--format", fmt,
+                                 "--t-values", "1"]) == 2, omega
+                assert capsys.readouterr() == (
+                    "", "error: omega / ln(sqrt(3)) must be finite and > 0, got inf\n"), omega
+        # Just below, the threshold is finite and the JSON is strict JSON.
+        omega = math.nextafter(top, 0.0)
+        assert math.isfinite(monogamy_threshold(omega))
+        assert main(["monogamy", "--omega", repr(omega), "--format", "json",
+                     "--t-values", "1"]) == 0
+        rows = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert rows[0]["threshold"] == monogamy_threshold(omega)
 
     def test_subnormal_temperature_gives_frozen_limit(self, capsys):
         with warnings.catch_warnings():
@@ -338,7 +371,105 @@ class TestMonogamy:
             assert "--t-values" in captured.err and entry in captured.err, values
 
 
+GOLDEN_LINES = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
+# Small sweep CSVs for the plot reader property: all pairs and both measures
+# (the golden file), and pair subsets with one measure deselected.
+PLOT_BASES = [
+    "".join(GOLDEN_LINES),
+    *(to_csv(cfg, run_sweep(cfg)) for cfg in (
+        SweepConfig(omega=1.0, t_min=0.01, t_max=4.0, steps=8, pairs=("AB", "BBbar"),
+                    measures="ent"),
+        SweepConfig(omega=0.37, t_min=1e-3, t_max=1e3, steps=8, grid="log",
+                    pairs=("ABbar",), measures="entropy"))),
+]
+# Cells that float() and np.loadtxt might read differently (the first list
+# float() reads), or that csv and np.loadtxt might split differently.
+PLOT_CELLS = st.one_of(st.sampled_from([
+    "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0.0", "0.0", "5e-324", "-5e-324",
+    "1e308", "-1e308", "1e309", " 0.5", "0.5 ", "\t0.25\t", " 1e308 ", "1_0", "+.5",
+]), st.sampled_from([
+    "", " ", "0x10", "abc", '"0.5"', '"0,5"', 'x"y', "0.5,0.5", "#1", "0.5\0", "1" * 131_073,
+]))
+
+
+@st.composite
+def plot_csvs(draw):
+    """A panel, and a sweep CSV's text with that panel's pair: some of its rows,
+    with cells, rows and lines mutated."""
+    lines = draw(st.sampled_from(PLOT_BASES)).splitlines()
+    panel = draw(st.sampled_from([panel for panel, pair in cli._PANEL_PAIR.items()
+                                  if f"{pair}_s_ab," in lines[0]]))
+    rows = [lines[0].split(",")] + [lines[i].split(",") for i in draw(
+        st.lists(st.integers(1, len(lines) - 1), min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, len(rows[r]) - 1))
+        op = draw(st.sampled_from(["cell", "cell", "cell", "quote", "short", "extra"]))
+        if op == "cell":  # in the header, the first data row or a later one
+            rows[r][c] = draw(PLOT_CELLS)
+        elif op == "quote":  # csv reads the cell as it is, or with a comma
+            rows[r][c] = f'"{rows[r][c]}{draw(st.sampled_from(["", ","]))}"'
+        elif op == "short":  # inside or outside the panel's columns
+            del rows[r][c + 1:]
+        else:
+            rows[r] += draw(st.lists(PLOT_CELLS, min_size=1, max_size=2))
+    text = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):  # blank lines, and lines of one space
+        text.insert(draw(st.integers(1, len(text))), draw(st.sampled_from(["", "", " "])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(text) + draw(st.sampled_from([eol, ""])), panel
+
+
+def plot_outcome(src: Path, panel: str, fast: bool):
+    """plot's exit status, stdout, stderr and SVG bytes, with the np.loadtxt
+    read on or forced off; any warning raises."""
+    out, err = src.with_suffix(".svg"), io.StringIO()
+    out.unlink(missing_ok=True)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as std:
+        warnings.simplefilter("error")
+        if not fast:
+            mp.setattr(cli, "_read_panel", lambda path, pair: None)
+        status = main(["plot", str(src), "--panel", panel, "-o", str(out)])
+    return status, std.getvalue(), err.getvalue(), out.read_bytes() if out.exists() else None
+
+
 class TestPlot:
+    @settings(max_examples=200, deadline=None)
+    @given(plot_csvs())
+    @example(("".join(GOLDEN_LINES), "fig3"))
+    @example((GOLDEN_LINES[0], "fig3"))  # no data row
+    @example(("\n" + "".join(GOLDEN_LINES), "fig3"))  # a blank line before the header
+    # A quoted comma before the panel's columns, and an oversized field past the first row.
+    @example(("".join(GOLDEN_LINES[:2]) + GOLDEN_LINES[2].replace(",", ',"0.5,",', 1), "fig1"))
+    @example(("".join(GOLDEN_LINES[:2]) + GOLDEN_LINES[2].replace(",", f",{'1' * 131_073},", 1),
+              "fig1"))
+    def test_fast_read_same_as_csv_read(self, tmp_path_factory, csv_panel):
+        # The SVG bytes, or the exit status and the error, are the same
+        # whether np.loadtxt reads the columns or csv does.
+        text, panel = csv_panel
+        src = tmp_path_factory.getbasetemp() / "plot_property.csv"
+        src.write_bytes(text.encode("utf-8"))
+        assert plot_outcome(src, panel, fast=True) == plot_outcome(src, panel, fast=False)
+
+    @pytest.mark.parametrize("measures", ["both", "ent", "entropy"])
+    def test_sweep_csvs_take_the_fast_read(self, measures, sweeps_10k_by_measures, tmp_path,
+                                           monkeypatch):
+        # Every panel of a 10^4-row sweep is read by np.loadtxt alone, to
+        # the bytes of the csv read.
+        cfg, records = sweeps_10k_by_measures[measures]
+        src = tmp_path / "s.csv"
+        src.write_text(to_csv(cfg, records), encoding="utf-8", newline="")
+        slow = {panel: plot_outcome(src, panel, fast=False) for panel in ("fig1", "fig2", "fig3")}
+
+        def refuse(path, pair):
+            raise AssertionError(f"{path} for {pair} fell back to the csv read")
+
+        monkeypatch.setattr(cli, "_read_columns", refuse)
+        for panel, want in slow.items():
+            got = plot_outcome(src, panel, fast=True)
+            assert got[0] == 0 and got == want, (panel, got[:3])
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         for out in (a, b):

@@ -113,6 +113,8 @@ def draw_series(rng: np.random.Generator, kind: str, n: int) -> list[float]:
         v = rng.uniform(-1.0, 1.0, n)
         v[rng.random(n) < 0.05] = rng.choice([math.inf, -math.inf, math.nan])
         return v.tolist()
+    if kind == "zeros":  # Python's min and max: a leading NaN wins, of 0.0 and -0.0 the first
+        return rng.choice([0.0, -0.0, math.nan, 1e-3, -1e-3], n).tolist()
     return (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)).tolist()
 
 
@@ -125,6 +127,7 @@ def draw_grid(rng: np.random.Generator, grid: str, n: int) -> list[float]:
     return {"linear": lambda: np.linspace(0.0, 10.0, n),
             "log": lambda: np.geomspace(1e-3, 1e3, n),
             "unsorted": lambda: rng.uniform(-5.0, 5.0, n),
+            "zeros": lambda: rng.choice([0.0, -0.0, math.nan, 1.0], n),
             "constant": lambda: np.full(n, 1.5)}[grid]().tolist()
 
 
@@ -165,8 +168,8 @@ def test_curve_length_must_match_x():
         render_lineplot([0.0, 1.0, 2.0], [("a", [1.0, 2.0, 3.0]), ("b", [1.0, 2.0])], "x", "y")
 
 
-KINDS = ("ties", "integral", "constant", "non-finite", "uniform")
-GRIDS = ("ties", "linear", "log", "unsorted", "constant")
+KINDS = ("ties", "integral", "constant", "non-finite", "zeros", "uniform")
+GRIDS = ("ties", "linear", "log", "unsorted", "zeros", "constant")
 
 
 class TestRenderLineplot:
@@ -178,7 +181,11 @@ class TestRenderLineplot:
         x = draw_grid(rng, grid, n)
         curves = [(f"c{k}", draw_series(rng, kind, n)) for k, kind in enumerate(kinds)]
         args = (x, curves, "T/ω", "steerability", "title")
-        assert render_lineplot(*args) == loop_render_lineplot(*args)
+        want = loop_render_lineplot(*args)
+        assert render_lineplot(*args) == want
+        # The same values as float64 columns, as `plot` passes them.
+        columns = [(name, np.array(series)) for name, series in curves]
+        assert render_lineplot(np.array(x), columns, *args[2:]) == want
 
 
 @pytest.fixture(scope="module")
