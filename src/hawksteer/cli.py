@@ -12,6 +12,7 @@ import csv
 import math
 import operator
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -132,11 +133,12 @@ def _read_columns(path: str, pair: str) -> tuple[list[float], list[tuple[str, li
 
 
 def _read_panel(path: str, pair: str) -> tuple[np.ndarray, list] | None:
-    """_read_columns' result as float64 columns, by one np.loadtxt that also parses the
-    header's last column, so a short row fails. None for a quote or NUL, a line past csv's
-    field limit, a missing column, no full first data row or curve it fills, a failed parse."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """_read_columns' result as float64 columns, by one np.loadtxt that also parses the header's
+    last column, so a short row fails. None for a pipe (read once), a quote or NUL, a line past
+    csv's field limit, a missing column, no full first row or curve it fills, a failed parse."""
+    if not Path(path).is_file():
+        return None
+    data = Path(path).read_bytes()
     span = np.diff(np.flatnonzero(np.frombuffer(data, "u1") == 10), prepend=-1, append=len(data))
     if b'"' in data or b"\0" in data or span.max() > csv.field_size_limit():
         return None
