@@ -61,10 +61,6 @@ class HawkingAmplitudes:
     s_amp: float | np.ndarray
 
 
-#: Analytic zero-temperature limit (frozen vacuum).
-FROZEN = HawkingAmplitudes(c_amp=1.0, s_amp=0.0)
-
-
 def _square(x):
     """x ** 2: for a float or a numpy scalar that is libm's pow, not a multiply."""
     return x ** 2
@@ -243,9 +239,10 @@ def _reductions(a: HawkingAmplitudes) -> list[list[TwoQubitXState]]:
     return [xs[k * n:(k + 1) * n] for k in range(len(PAIRS))]
 
 
-# Callers ask for the three pairs at one temperature back to back, so a few
-# remembered temperatures serve them; the bound keeps a long temperature grid
-# from holding more than that.
+# pipeline_report's callers outside the tests, perfbench's row checks and its
+# verify pipeline op, ask for the three pairs at one temperature back to back,
+# so a few remembered temperatures serve them; the bound keeps a long
+# temperature grid from holding more than that.
 @functools.lru_cache(maxsize=8)
 def reductions_at(a: HawkingAmplitudes) -> tuple[TwoQubitXState, ...]:
     """Each pair's X-state reduction at one float (C, S), in PAIRS order.
@@ -462,37 +459,21 @@ class MonogamyResiduals:
         return tuple(r for r in (self.r1, self.r2, self.r3, self.r4) if r is not None)
 
 
-def monogamy_residuals(p: HawkingParams) -> MonogamyResiduals:
-    """Evaluate the four identities from the matrix pipeline (not closed forms).
-
-    The three pipeline_reports at p share one remembered set of reductions.
-    """
-    return _applicable(p, *_residuals(*(pipeline_report(p, pair) for pair in PAIRS)))
-
-
 def monogamy_grid(params: Sequence[HawkingParams]) -> list[MonogamyResiduals]:
-    """monogamy_residuals at every params, from one pipeline_columns, bit for bit."""
-    columns = pipeline_columns(params)
-    rows = zip(*_residuals(*(columns[pair] for pair in PAIRS)))
-    return [_applicable(p, *row) for p, row in zip(params, rows)]
+    """The four residuals at every params, from one pipeline_columns.
 
-
-def _residuals(ab: BipartitionReport, abbar: BipartitionReport, bbbar: BipartitionReport):
-    """r1..r4 from the AB, ABbar and BBbar pipeline reports: floats, or float64 columns.
-
-    A concurrence is squared by libm's pow, as a float's ** 2 is; numpy's
-    array ** 2 is a multiply, which differs from it in the last ulp.
+    r3 and r4 are None at or below monogamy_threshold.  A concurrence is
+    squared by libm's pow: numpy's array ** 2 is a multiply, which differs
+    from it in the last ulp and would change the printed residuals.
     """
+    columns = pipeline_columns(params)
+    ab, abbar, bbbar = (columns[pair] for pair in PAIRS)
     cab2, cabbar2, cbbbar2 = (_libm(_square, r.concurrence) for r in (ab, abbar, bbbar))
     r1 = (ab.ent.t_ab - abbar.ent.t_ab) - (cab2 - cabbar2)
     r2 = (ab.ent.t_ab + abbar.ent.t_ab) - (cab2 + cabbar2 - 2.0 / SQRT3 * cbbbar2)
     r3 = 0.5 * (3.0 - SQRT3) * (ab.ent.t_ba - abbar.ent.t_ba) - (cab2 - cabbar2)
     r4 = 0.5 * (3.0 + SQRT3) * (ab.ent.t_ba + abbar.ent.t_ba) - (cab2 + cabbar2)
-    return r1, r2, r3, r4
-
-
-def _applicable(p: HawkingParams, r1, r2, r3, r4) -> MonogamyResiduals:
-    """The residuals at p, with r3 and r4 None at or below monogamy_threshold."""
-    if p.temperature > monogamy_threshold(p.omega):
-        return MonogamyResiduals(r1=r1, r2=r2, r3=r3, r4=r4)
-    return MonogamyResiduals(r1=r1, r2=r2, r3=None, r4=None)
+    return [MonogamyResiduals(r1=w, r2=x, r3=y, r4=z)
+            if p.temperature > monogamy_threshold(p.omega)
+            else MonogamyResiduals(r1=w, r2=x, r3=None, r4=None)
+            for p, w, x, y, z in zip(params, r1, r2, r3, r4)]

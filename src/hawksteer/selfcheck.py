@@ -42,15 +42,15 @@ def random_xstates(n: int, seed: int = 20240817) -> list[TwoQubitXState]:
     return out
 
 
-def grid_temperatures(n: int = 200) -> np.ndarray:
-    """Logarithmic temperature grid, in units of omega."""
-    return np.geomspace(1e-2, 1e4, n)
+def grid_temperatures() -> np.ndarray:
+    """Logarithmic 200-point temperature grid, in units of omega."""
+    return np.geomspace(1e-2, 1e4, 200)
 
 
-def reduced_state_population(n_grid: int = 200) -> list[TwoQubitXState]:
+def reduced_state_population() -> list[TwoQubitXState]:
     """The three reduced-state families sampled on the temperature grid."""
     states = []
-    for t in grid_temperatures(n_grid):
+    for t in grid_temperatures():
         a = amplitudes(HawkingParams(t, 1.0))
         states.extend(reduced_xstate(a, pair) for pair in PAIRS)
     return states
@@ -62,9 +62,9 @@ def _verdict(name: str, label: str, diffs, tol: float) -> tuple[str, bool, str]:
     return name, worst <= tol, f"{label} {worst:.3e}"
 
 
-def oracle_states(n_random: int = 1000) -> list[TwoQubitXState]:
-    """The oracle checks' states: random_xstates, then reduced_state_population."""
-    return random_xstates(n_random) + reduced_state_population()
+def oracle_states() -> list[TwoQubitXState]:
+    """The oracle checks' states: 1000 random_xstates, then reduced_state_population."""
+    return random_xstates(1000) + reduced_state_population()
 
 
 def concurrence_diffs(states: list[TwoQubitXState]) -> np.ndarray:
@@ -85,18 +85,18 @@ def entropy_diffs(states: list[TwoQubitXState]) -> np.ndarray:
                      for direction in (steering_entropy.A_TO_B, steering_entropy.B_TO_A)])
 
 
-def check_concurrence_oracle(n_random: int = 1000) -> tuple[str, bool, str]:
+def check_concurrence_oracle() -> tuple[str, bool, str]:
     return _verdict("concurrence closed form vs spin-flip oracle",
-                    "max discrepancy", concurrence_diffs(oracle_states(n_random)), ORACLE_TOL)
+                    "max discrepancy", concurrence_diffs(oracle_states()), ORACLE_TOL)
 
 
-def check_entropy_oracle(n_random: int = 1000) -> tuple[str, bool, str]:
+def check_entropy_oracle() -> tuple[str, bool, str]:
     return _verdict("entropy sum closed form vs measurement-statistics oracle",
-                    "max discrepancy", entropy_diffs(oracle_states(n_random)), ORACLE_TOL)
+                    "max discrepancy", entropy_diffs(oracle_states()), ORACLE_TOL)
 
 
-def _grid_params(n_grid: int) -> list[HawkingParams]:
-    return [HawkingParams(t, 1.0) for t in grid_temperatures(n_grid)]
+def _grid_params() -> list[HawkingParams]:
+    return [HawkingParams(t, 1.0) for t in grid_temperatures()]
 
 
 def _values(rep) -> np.ndarray:
@@ -105,8 +105,8 @@ def _values(rep) -> np.ndarray:
                     + [getattr(rep.ent, f) for f in ENT_FIELDS] + [rep.concurrence])
 
 
-def check_pipeline_equivalence(n_grid: int = 200) -> tuple[str, bool, str]:
-    params = _grid_params(n_grid)
+def check_pipeline_equivalence() -> tuple[str, bool, str]:
+    params = _grid_params()
     reports, cols = pipeline_columns(params), amplitudes_grid(params)
     diffs = [_values(closed_form_report_from_amplitudes(cols, pair)) - _values(reports[pair])
              for pair in PAIRS]
@@ -114,8 +114,8 @@ def check_pipeline_equivalence(n_grid: int = 200) -> tuple[str, bool, str]:
                     "max discrepancy", diffs, PIPELINE_TOL)
 
 
-def check_monogamy(n_grid: int = 200) -> tuple[str, bool, str]:
-    residuals = [r for res in monogamy_grid(_grid_params(n_grid)) for r in res.applicable]
+def check_monogamy() -> tuple[str, bool, str]:
+    residuals = [r for res in monogamy_grid(_grid_params()) for r in res.applicable]
     return _verdict("steering/entanglement monogamy residuals",
                     "max residual", residuals, MONOGAMY_TOL)
 

@@ -11,17 +11,18 @@ are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .hawking import (
-    FROZEN,
     PAIRS,
     BipartitionReport,
     HawkingParams,
     amplitudes,
+    amplitudes_at,
     closed_form_report_from_amplitudes,
     require_positive,
 )
@@ -70,9 +71,10 @@ class SweepConfig:
         return tuple(p for p in PAIRS if p in self.pairs)
 
     def temperatures(self) -> np.ndarray:
-        if self.grid == "linear":
-            return np.linspace(self.t_min, self.t_max, self.steps)
-        with np.errstate(over="ignore"):  # near the float max; the last point is set to t_max
+        # Near the float max either grid overflows on its last point, then sets it to t_max.
+        with np.errstate(over="ignore"):
+            if self.grid == "linear":
+                return np.linspace(self.t_min, self.t_max, self.steps)
             return np.geomspace(self.t_min, self.t_max, self.steps)
 
 
@@ -96,7 +98,7 @@ def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
     kept = [skip is None or not f.startswith(skip) for f in PAIR_FIELDS]
 
     def record(t: float) -> dict[str, float | None]:
-        a = FROZEN if t == 0.0 else amplitudes(HawkingParams(t, cfg.omega))
+        a = amplitudes_at(math.inf) if t == 0.0 else amplitudes(HawkingParams(t, cfg.omega))
         values = [t / cfg.omega, a.c_amp ** 2, a.s_amp ** 2]
         for pair in pairs:
             vals = _pair_values(closed_form_report_from_amplitudes(a, pair))

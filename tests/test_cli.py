@@ -23,13 +23,13 @@ from hawksteer.cli import main
 from hawksteer.hawking import (
     HawkingParams,
     MonogamyResiduals,
-    monogamy_residuals,
+    monogamy_grid,
     monogamy_threshold,
     pipeline_columns,
 )
 from hawksteer.selfcheck import MONOGAMY_TOL, ORACLE_TOL, PIPELINE_TOL
 from hawksteer.svgplot import render_lineplot
-from hawksteer.sweep import SweepConfig, render_table, run_sweep, to_csv, to_json
+from hawksteer.sweep import MEASURES, SweepConfig, render_table, run_sweep, to_csv, to_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEP = [
@@ -224,6 +224,19 @@ class TestBoundaries:
         t = [row["t_over_omega"] for row in csv.DictReader(quiet.out.splitlines())]
         assert t[::2] == ["1.0", repr(sys.float_info.max)] and math.isfinite(float(t[1]))
 
+    def test_linear_grid_to_the_float_max(self, capsys):
+        # linspace overflows adding t_min to its last step, then sets the last
+        # point to t_max: no warning escapes, and every row is finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--t-min", "1e308", "--t-max", repr(sys.float_info.max),
+                         "--steps", "8"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        t = [float(row["t_over_omega"]) for row in csv.DictReader(captured.out.splitlines())]
+        assert len(t) == 8 and all(map(math.isfinite, t))
+        assert t[-1] == sys.float_info.max  # t_max / omega at omega = 1
+
     def test_monogamy_refuses_infinite_threshold(self, capsys):
         # omega / ln(sqrt 3) overflows for omega > ln(sqrt 3) * float max; the
         # JSON would hold "threshold": Infinity and every r3/r4 would be n/a.
@@ -256,6 +269,72 @@ class TestBoundaries:
         assert float(tiny.pop("t_over_omega")) == 1e-320
         assert frozen.pop("t_over_omega") == "0.0"
         assert tiny == frozen
+
+
+# Flag values at and past the edges of the float range, and one that is no number.
+CLI_VALUES = st.sampled_from(["0", "1", "-1", "inf", "-inf", "nan", "5e-324", "1e-320",
+                              "2.4e-312", "1e-300", "1e300", "1e308",
+                              repr(sys.float_info.max), "abc"])
+
+
+@st.composite
+def sweep_argvs(draw):
+    """A sweep argv: every number from CLI_VALUES, --steps an integer <= 17 or one of them."""
+    argv = ["sweep", f"--t-min={draw(CLI_VALUES)}", f"--t-max={draw(CLI_VALUES)}",
+            f"--steps={draw(st.one_of(st.integers(-1, 17).map(str), CLI_VALUES))}",
+            f"--grid={draw(st.sampled_from(['linear', 'log']))}",
+            f"--measures={draw(st.sampled_from(MEASURES))}"]
+    return argv + ([f"--omega={draw(CLI_VALUES)}"] if draw(st.booleans()) else [])
+
+
+@st.composite
+def monogamy_argvs(draw):
+    """A monogamy argv: 1-6 --t-values entries and maybe --omega, from CLI_VALUES."""
+    argv = ["monogamy", "--t-values=" + ",".join(draw(st.lists(CLI_VALUES, min_size=1,
+                                                               max_size=6)))]
+    return argv + ([f"--omega={draw(CLI_VALUES)}"] if draw(st.booleans()) else [])
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestBoundaryProperty:
+    """sweep and monogamy on any of CLI_VALUES, in process with warnings as errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.one_of(sweep_argvs(), monogamy_argvs()),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_every_run_ends_one_of_three_ways(self, argv, fmt):
+        # Each flag as --flag=value, so that argparse takes "-1" as a value.
+        argv = argv + [f"--format={fmt}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value its type cannot read
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:  # refused: one error line, no data
+            assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, err
+            return
+        assert code in (0, 1) and err == "", (code, err)
+        rows = (json.loads(out, parse_constant=refuse_constant) if fmt == "json"
+                else list(csv.DictReader(out.splitlines())))
+        assert rows
+        statuses = set()
+        for row in rows:
+            for key, v in row.items():
+                if key == "status":
+                    statuses.add(v)
+                elif v not in (None, "", "n/a (T <= omega/ln(sqrt(3)))"):
+                    assert math.isfinite(float(v)), (key, v)
+                    if key.endswith(("_s_ab", "_s_ba", "_t_ab", "_t_ba")):
+                        assert 0.0 <= float(v) <= 1.0, (key, v)
+        # monogamy exits 1 exactly when a row fails; sweep has no status.
+        assert statuses <= {"pass", "fail"} and ("fail" in statuses) == (code == 1), statuses
 
 
 class TestCritical:
@@ -305,7 +384,7 @@ def per_temperature_table(temps, omega, fmt) -> str:
     """monogamy's output with each T through the pipeline on its own."""
     rows = []
     for t in temps:
-        res = monogamy_residuals(HawkingParams(t, omega))
+        [res] = monogamy_grid([HawkingParams(t, omega)])
         ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
         rows.append({"temperature": t, "threshold": monogamy_threshold(omega),
                      "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,

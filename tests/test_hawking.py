@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hawksteer import hawking
 from hawksteer.hawking import (
-    FROZEN,
     PAIRS,
     CriticalTemperatures,
     HawkingAmplitudes,
@@ -23,7 +22,6 @@ from hawksteer.hawking import (
     closed_form_report_from_amplitudes,
     critical_temperatures,
     monogamy_grid,
-    monogamy_residuals,
     monogamy_threshold,
     pipeline_columns,
     pipeline_report,
@@ -86,8 +84,15 @@ class TestTripartiteState:
             m = tripartite_states(amplitudes(HawkingParams(t, 1.0))).matrix
             assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_frozen_limit_is_exact(self):
+        # T = 0 is x = omega / T = inf: C is exactly 1.0 and S exactly +0.0, as floats.
+        a = amplitudes_at(math.inf)
+        assert type(a.c_amp) is float and type(a.s_amp) is float
+        assert a.c_amp == 1.0 and a.s_amp == 0.0
+        assert math.copysign(1.0, a.s_amp) == 1.0
+
     def test_frozen_limit_is_bell_pair(self):
-        m = tripartite_states(FROZEN).matrix
+        m = tripartite_states(amplitudes_at(math.inf)).matrix
         expect = np.zeros((8, 8))
         for i, j in ((0, 0), (0, 6), (6, 0), (6, 6)):
             expect[i, j] = 0.5
@@ -120,7 +125,8 @@ class TestTripartiteState:
         gone = weakref.ref(first[0])
         del first
         for t in np.geomspace(1.0, 1e3, 200):
-            monogamy_residuals(HawkingParams(float(t), 1.0))
+            for pair in PAIRS:
+                pipeline_report(HawkingParams(float(t), 1.0), pair)
         info = reductions_at.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
         gc.collect()
@@ -223,7 +229,8 @@ class TestClosedFormHalves:
         # report's field: == and the same sign of zero, for floats and columns.
         # T / omega log-uniform in [1e-320, 1e300], plus the frozen limit.
         xs = [1.0 / 10.0 ** u for u in log_ratios]
-        inputs = [FROZEN, amplitudes_at(np.array(xs))] + [amplitudes_at(x) for x in xs]
+        inputs = [amplitudes_at(math.inf), amplitudes_at(np.array(xs)),
+                  *(amplitudes_at(x) for x in xs)]
         for a in inputs:
             for pair in PAIRS:
                 full = closed_form_report_from_amplitudes(a, pair)
@@ -242,7 +249,7 @@ class TestClosedFormHalves:
     def test_halves_reject_unknown_pair(self):
         for half in (closed_form_entropy, closed_form_ent):
             with pytest.raises(ValueError, match="pair"):
-                half(FROZEN, "AA", 1.0, 0.0)
+                half(amplitudes_at(math.inf), "AA", 1.0, 0.0)
 
 
 def field_types(values) -> tuple[type, ...]:
@@ -250,7 +257,8 @@ def field_types(values) -> tuple[type, ...]:
 
 
 class TestStackedPipeline:
-    """pipeline_columns and monogamy_grid against the per-state path, bit for bit."""
+    """pipeline_columns against pipeline_report, monogamy_grid against one-point grids:
+    bit for bit."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 64).flatmap(
@@ -273,7 +281,7 @@ class TestStackedPipeline:
                 assert (col.ent.branch_ab[i], col.ent.branch_ba[i]) == \
                     (want.ent.branch_ab, want.ent.branch_ba)
         for p, got in zip(params, monogamy_grid(params)):
-            assert repr(got) == repr(monogamy_residuals(p))
+            assert repr(got) == repr(monogamy_grid([p])[0])
 
     def test_grid_around_threshold(self):
         # r3 and r4 switch on just above T = omega / ln(sqrt 3).
@@ -283,7 +291,7 @@ class TestStackedPipeline:
                      *(th * np.geomspace(0.9, 1.1, 9))]
             params = [HawkingParams(float(t), omega) for t in temps]
             got = monogamy_grid(params)
-            assert [repr(r) for r in got] == [repr(monogamy_residuals(p)) for p in params]
+            assert [repr(r) for r in got] == [repr(monogamy_grid([p])[0]) for p in params]
             assert [r.r3 is None for r in got] == [t <= th for t in temps]
 
     def test_empty_grid(self):
@@ -479,18 +487,18 @@ class TestCriticalAdmissibleRange:
 
 class TestMonogamy:
     def test_residuals_tiny_at_unit_temperature(self):
-        r = monogamy_residuals(HawkingParams(1.0, 1.0))
+        [r] = monogamy_grid([HawkingParams(1.0, 1.0)])
         assert r.r3 is None and r.r4 is None  # T below omega/ln(sqrt 3)
         for v in r.applicable:
             assert abs(v) <= 1e-12
 
     def test_low_temperature_not_applicable(self):
-        r = monogamy_residuals(HawkingParams(0.1, 1.0))
+        [r] = monogamy_grid([HawkingParams(0.1, 1.0)])
         assert r.r3 is None and r.r4 is None
         assert abs(r.r1) <= 1e-12 and abs(r.r2) <= 1e-12
 
     def test_high_temperature_all_four(self):
-        r = monogamy_residuals(HawkingParams(100.0, 1.0))
+        [r] = monogamy_grid([HawkingParams(100.0, 1.0)])
         assert len(r.applicable) == 4
         for v in r.applicable:
             assert abs(v) <= 1e-12
@@ -499,8 +507,8 @@ class TestMonogamy:
         assert monogamy_threshold(1.0) == pytest.approx(1.0 / math.log(SQRT3), abs=1e-15)
 
     def test_grid(self):
-        for t in np.geomspace(1e-2, 1e4, 50):
-            r = monogamy_residuals(HawkingParams(float(t), 1.0))
+        params = [HawkingParams(float(t), 1.0) for t in np.geomspace(1e-2, 1e4, 50)]
+        for r in monogamy_grid(params):
             for v in r.applicable:
                 assert abs(v) <= 1e-12
 
@@ -563,7 +571,7 @@ class TestPhysicalInvariants:
             assert reps["BBbar"].concurrence == pytest.approx(cab * cabbar, abs=1e-12)
 
     def test_frozen_amplitudes_give_bell_measures(self):
-        r = closed_form_report_from_amplitudes(FROZEN, "AB")
+        r = closed_form_report_from_amplitudes(amplitudes_at(math.inf), "AB")
         assert r.entropy.s_ab == 1.0
         assert r.ent.t_ab == pytest.approx(1.0, abs=1e-12)
         assert r.concurrence == 1.0
