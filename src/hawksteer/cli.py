@@ -57,10 +57,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    ct = critical_temperatures(args.omega)
     status = 0
     rows = []
-    for pt in ct.points():
+    for pt in critical_temperatures(args.omega):
         if pt.error is not None:
             print(f"{pt.name}: {pt.error}", file=sys.stderr)
             status = 1

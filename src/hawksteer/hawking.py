@@ -25,7 +25,7 @@ import numpy as np
 
 from . import steering_ent, steering_entropy
 from .qstate import DenseState, TwoQubitXState, XStateColumns, partial_traces
-from .steering_ent import BRANCH_CORNER, BRANCH_INNER, SQRT3, EntSteeringReport
+from .steering_ent import SQRT3, EntSteeringReport
 from .steering_entropy import EntropySteeringReport, keep_above
 
 PAIRS = ("AB", "ABbar", "BBbar")
@@ -205,16 +205,16 @@ def closed_form_entropy(a: HawkingAmplitudes, pair: str, c2, s2) -> EntropySteer
 def closed_form_ent(a: HawkingAmplitudes, pair: str, c2, s2) -> EntSteeringReport:
     """The pair's witness closed forms: they need c2 = C * C and s2 = S * S, not a."""
     if pair in ("AB", "ABbar"):
-        # The same bit flip as in closed_form_entropy moves c14 to c23, hence "inner".
-        k2, o2, branch = (c2, s2, BRANCH_CORNER) if pair == "AB" else (s2, c2, BRANCH_INNER)
+        # The same bit flip as in closed_form_entropy moves c14 to c23: ABbar's
+        # witness term is driven by the |01><10| coherence, AB's by |00><11|.
+        k2, o2 = (c2, s2) if pair == "AB" else (s2, c2)
         t_ab, t_ba = k2 - c2 * s2 / SQRT3, k2 - o2 / SQRT3
     elif pair == "BBbar":
-        t_ab, t_ba, branch = c2 * s2 - s2 / SQRT3, c2 * s2 - c2 / SQRT3, BRANCH_CORNER
+        t_ab, t_ba = c2 * s2 - s2 / SQRT3, c2 * s2 - c2 / SQRT3
     else:
         raise ValueError(f"unknown pair: {pair!r}")
     t_ab, t_ba = keep_above(t_ab, 0.0), keep_above(t_ba, 0.0)
-    return EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba),
-                             branch_ab=branch, branch_ba=branch)
+    return EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba))
 
 
 def _measures(pair: str, reduced: TwoQubitXState | XStateColumns) -> BipartitionReport:
@@ -295,19 +295,6 @@ class CriticalPoint:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class CriticalTemperatures:
-    t_birth_entropy_a_to_abar: CriticalPoint
-    t_birth_entropy_abar_to_a: CriticalPoint
-    t_birth_ent_abar_to_a: CriticalPoint
-    t_peak_bbbar: CriticalPoint
-    t_death_bbbar: CriticalPoint
-
-    def points(self) -> tuple[CriticalPoint, ...]:
-        return (self.t_birth_entropy_a_to_abar, self.t_birth_entropy_abar_to_a,
-                self.t_birth_ent_abar_to_a, self.t_peak_bbbar, self.t_death_bbbar)
-
-
 class BracketError(RuntimeError):
     """No sign change found on the scan grid."""
 
@@ -383,7 +370,7 @@ def monogamy_threshold(omega: float) -> float:
     return omega / math.log(SQRT3)
 
 
-#: The five critical points, in CriticalTemperatures field order: name,
+#: The five critical points, in critical_temperatures' order: name,
 #: pair, the closed-form half that holds the measure, the measure, kind
 #: (birth, peak or death) and the closed form in omega (None if there is none).
 _CRITICAL_POINTS = (
@@ -397,7 +384,7 @@ _CRITICAL_POINTS = (
 )
 
 
-def critical_temperatures(omega: float) -> CriticalTemperatures:
+def critical_temperatures(omega: float) -> tuple[CriticalPoint, ...]:
     """All five critical temperatures, closed form and numeric side by side.
 
     The scan evaluates each closed-form half in _CRITICAL_POINTS once, as a
@@ -434,7 +421,7 @@ def critical_temperatures(omega: float) -> CriticalTemperatures:
         return CriticalPoint(name=name, closed_form=closed, numeric=numeric,
                              discrepancy=disc)
 
-    return CriticalTemperatures(*(point(*row) for row in _CRITICAL_POINTS))
+    return tuple(point(*row) for row in _CRITICAL_POINTS)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,6 @@ from .steering_entropy import keep_above
 SQRT3 = math.sqrt(3.0)
 SCALE = 8.0 / SQRT3  # the witness quantifier's scale: the Bell state scores 1
 
-BRANCH_CORNER = "corner"  # driven by c14, the |00><11| coherence
-BRANCH_INNER = "inner"    # driven by c23, the |01><10| coherence
-
 _SY = np.array([[0, -1j], [1j, 0]])
 _SPIN_FLIP = np.kron(_SY, _SY)
 
@@ -41,13 +38,11 @@ class WitnessThresholds(NamedTuple):
 
 @dataclass(frozen=True)
 class EntSteeringReport:
-    """Directional entanglement-based steerabilities with the active branch."""
+    """Directional entanglement-based steerabilities."""
 
     t_ab: float
     t_ba: float
     delta: float
-    branch_ab: str
-    branch_ba: str
 
 
 def concurrence_xstate(s: TwoQubitXState | XStateColumns):
@@ -137,23 +132,18 @@ def steerability_ent(s: TwoQubitXState | XStateColumns) -> EntSteeringReport:
     t_ab = max{0, (8/sqrt3)(c14^2 - Qa - Qb), (8/sqrt3)(c23^2 - Qc - Qb)}
     t_ba = max{0, (8/sqrt3)(c14^2 - Qa + Qb), (8/sqrt3)(c23^2 - Qc + Qb)}
 
-    The branch is the corner one where its term is >= the inner one.
+    The corner term (c14, the |00><11| coherence) is kept where it is >= the
+    inner one (c23, the |01><10| coherence), so a NaN picks the inner term.
     """
     qa, qb, qc = witness_thresholds(s)
     corner, inner = s.c14 * s.c14 - qa, s.c23 * s.c23 - qc
-    directions = []
+    t = []
     for sign in (-1.0, 1.0):
         c, i = SCALE * (corner + sign * qb), SCALE * (inner + sign * qb)
-        if isinstance(c, float):  # one state
-            directions.append((keep_above(c, 0.0), BRANCH_CORNER) if c >= i
-                              else (keep_above(i, 0.0), BRANCH_INNER))
-        else:
-            on_corner = c >= i
-            directions.append((keep_above(np.where(on_corner, c, i), 0.0),
-                               np.where(on_corner, BRANCH_CORNER, BRANCH_INNER)))
-    (t_ab, branch_ab), (t_ba, branch_ba) = directions
-    return EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba),
-                             branch_ab=branch_ab, branch_ba=branch_ba)
+        t.append(keep_above(c if c >= i else i, 0.0) if isinstance(c, float)  # one state
+                 else keep_above(np.where(c >= i, c, i), 0.0))
+    t_ab, t_ba = t
+    return EntSteeringReport(t_ab=t_ab, t_ba=t_ba, delta=abs(t_ab - t_ba))
 
 
 def tau_states(s: TwoQubitXState) -> tuple[TwoQubitXState, TwoQubitXState]:

@@ -73,14 +73,15 @@ def test_criterion_2_ent_asymmetry_asymptote():
 
 def test_criterion_3_critical_temperatures():
     t0 = time.perf_counter()
-    ct = critical_temperatures(1.0)
+    points = critical_temperatures(1.0)
     secs = time.perf_counter() - t0
+    ct = {p.name: p for p in points}
     rels = []
     for pt, want, tol in (
-        (ct.t_birth_ent_abar_to_a, 1.0 / math.log(SQRT3), 1e-6),
-        (ct.t_peak_bbbar, 1.0 / math.log(2.0 + SQRT3), 1e-6),
-        (ct.t_death_bbbar, -1.0 / math.log(SQRT3 - 1.0), 1e-6),
-        (ct.t_birth_entropy_abar_to_a, 5.8021, 1e-3),
+        (ct["t_birth_ent_abar_to_a"], 1.0 / math.log(SQRT3), 1e-6),
+        (ct["t_peak_bbbar"], 1.0 / math.log(2.0 + SQRT3), 1e-6),
+        (ct["t_death_bbbar"], -1.0 / math.log(SQRT3 - 1.0), 1e-6),
+        (ct["t_birth_entropy_abar_to_a"], 5.8021, 1e-3),
     ):
         rels.append((abs(pt.numeric - want) / want, tol))
     ok = all(r <= tol for r, tol in rels) and secs < 1.0

@@ -1,13 +1,19 @@
-"""The benchmark's workloads call only names the package still has.
+"""The benchmark's workloads call only names and read only fields the package still has.
 
-`perfbench/workloads.py` drives hawksteer through its module attributes.
-A name deleted from the package would only show as a failed benchmark
-run; this reads the workloads' syntax tree and fails here instead.
+`perfbench/workloads.py` drives hawksteer through its module attributes
+and reads the fields of its reports. A name deleted from the package, or
+a field dropped from a report, would only show as a failed benchmark
+run; these tests fail here instead.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+from hawksteer import hawking
+from hawksteer.selfcheck import ENT_FIELDS, ENTROPY_FIELDS
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 MODULES = ("cli", "hawking", "qstate", "selfcheck", "steering_ent", "steering_entropy")
@@ -34,3 +40,18 @@ def test_workloads_use_only_existing_names():
     missing = sorted(f"{module}.{name}" for module, name in used
                      if not hasattr(importlib.import_module(f"hawksteer.{module}"), name))
     assert not missing, f"perfbench/workloads.py uses deleted names: {missing}"
+
+
+@pytest.mark.parametrize("report", [hawking.closed_form_report, hawking.pipeline_report])
+def test_reports_have_the_fields_workloads_read(report):
+    # The sweep row check reads entropy.s_ab/s_ba/delta, ent.t_ab/t_ba/delta and
+    # concurrence; verify's pipeline_op compares ENTROPY_FIELDS, ENT_FIELDS,
+    # concurrence and names the pair.
+    for t in (0.1, 1.0, 100.0):
+        for pair in hawking.PAIRS:
+            rep = report(hawking.HawkingParams(t, 1.0), pair)
+            assert rep.pair == pair
+            values = [rep.concurrence]
+            values += [getattr(rep.entropy, f) for f in {*ENTROPY_FIELDS, "s_ab", "s_ba", "delta"}]
+            values += [getattr(rep.ent, f) for f in ENT_FIELDS]
+            assert all(isinstance(v, float) for v in values), (t, pair, values)

@@ -299,6 +299,19 @@ def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def run_in_process(argv):
+    """(exit status, stdout, stderr) of main(argv), with warnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a value its type cannot read
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestBoundaryProperty:
     """sweep and monogamy on any of CLI_VALUES, in process with warnings as errors."""
 
@@ -308,15 +321,7 @@ class TestBoundaryProperty:
     def test_every_run_ends_one_of_three_ways(self, argv, fmt):
         # Each flag as --flag=value, so that argparse takes "-1" as a value.
         argv = argv + [f"--format={fmt}"]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refuses a value its type cannot read
-                code = exc.code
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = run_in_process(argv)
         if code == 2:  # refused: one error line, no data
             assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, err
             return
@@ -333,8 +338,50 @@ class TestBoundaryProperty:
                     assert math.isfinite(float(v)), (key, v)
                     if key.endswith(("_s_ab", "_s_ba", "_t_ab", "_t_ba")):
                         assert 0.0 <= float(v) <= 1.0, (key, v)
+            if "c_sq" in row:  # the amplitudes' C^2 + S^2 = 1, to two ulps of 1
+                assert abs(float(row["c_sq"]) + float(row["s_sq"]) - 1.0) <= 2 * 2.0 ** -52, row
         # monogamy exits 1 exactly when a row fails; sweep has no status.
         assert statuses <= {"pass", "fail"} and ("fail" in statuses) == (code == 1), statuses
+
+
+# critical's admissible omega ends (1e-12 * omega > 0, 1e4 * omega finite), as
+# README states them and to the last float, with the neighbours past each.
+CRITICAL_EDGES = [2.5e-312, 1.79e304, 2.47032822921e-312, 1.7976931348623158e+304]
+CRITICAL_VALUES = st.one_of(CLI_VALUES, st.sampled_from(
+    [repr(v) for e in CRITICAL_EDGES
+     for v in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]))
+
+
+class TestCriticalBoundaryProperty:
+    """critical on any of CLI_VALUES and its admissible ends, in process with warnings
+    as errors."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(omega=CRITICAL_VALUES, fmt=st.sampled_from(["csv", "json"]))
+    def test_every_run_ends_one_of_three_ways(self, omega, fmt):
+        argv = ["critical", f"--omega={omega}", f"--format={fmt}"]
+        code, out, err = run_in_process(argv)
+        if code == 2:  # refused: one error line, no data
+            assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, err
+            return
+        assert code in (0, 1), (code, err)
+        rows = (json.loads(out, parse_constant=refuse_constant) if fmt == "json"
+                else list(csv.DictReader(out.splitlines())))
+        assert len(rows) == 5, rows
+        unfound = set()
+        for row in rows:
+            cells = {k: None if v in (None, "") else float(v)
+                     for k, v in row.items() if k != "name"}
+            if cells["numeric"] is None:
+                unfound.add(row["name"])
+                assert cells["discrepancy"] is None, row
+            for key in ("closed_form", "numeric"):
+                assert cells[key] is None or 0.0 < cells[key] < math.inf, row
+            if cells["discrepancy"] is not None:
+                assert 0.0 <= cells["discrepancy"] < math.inf, row
+        # Exit 1 exactly when a point has no numeric value, each named on stderr.
+        assert {line.split(":")[0] for line in err.splitlines()} == unfound, err
+        assert (code == 1) == bool(unfound), (code, err)
 
 
 class TestCritical:

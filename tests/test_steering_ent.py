@@ -13,8 +13,6 @@ from hawksteer.qstate import (
 )
 from hawksteer.selfcheck import random_xstates
 from hawksteer.steering_ent import (
-    BRANCH_CORNER,
-    BRANCH_INNER,
     concurrence_oracle,
     concurrence_xstate,
     steerability_ent,
@@ -136,7 +134,6 @@ class TestSteerability:
         assert rep.t_ab == pytest.approx(1.0, abs=1e-12)
         assert rep.t_ba == pytest.approx(1.0, abs=1e-12)
         assert rep.delta == pytest.approx(0.0, abs=1e-12)
-        assert rep.branch_ab == BRANCH_CORNER
 
     def test_ab_reduction_closed_forms(self):
         for x in (0.3, 1.0, 4.0):
@@ -155,9 +152,8 @@ class TestSteerability:
                 max(0.0, s_sq * (c_sq - 1.0 / SQRT3)), abs=1e-12)
             assert rep.t_ba == 0.0
 
-    def test_abbar_inner_branch(self):
+    def test_abbar_a_to_abar_steerable(self):
         rep = steerability_ent(hawking_reduction(1.0, "ABbar"))
-        assert rep.branch_ab == BRANCH_INNER
         assert rep.t_ab > 0.0
 
     def test_exchange_symmetry_via_dense_swap(self):

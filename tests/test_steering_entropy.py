@@ -286,7 +286,7 @@ SQRT3 = math.sqrt(3.0)
 def reference_measures(s):
     """The one-state measures as first written: per-term np.log2, max() and if/else.
 
-    The nine numbers of a BipartitionReport, then the two branch labels.
+    The nine numbers of a BipartitionReport.
     """
     b = bloch_coefficients(s)
     i_ab, i_ba = old_closed_form(b, A_TO_B), old_closed_form(b, B_TO_A)
@@ -297,22 +297,20 @@ def reference_measures(s):
     qa = 0.5 * (2.0 - SQRT3) * corner + 0.5 * (2.0 + SQRT3) * inner + cross
     qb = 0.25 * (s.p11 - s.p44) * (s.p22 - s.p33)
     qc = 0.5 * (2.0 + SQRT3) * corner + 0.5 * (2.0 - SQRT3) * inner + cross
-    t, branches = [], []
+    t = []
     for sign in (-1.0, 1.0):
         c = 8.0 / SQRT3 * (s.c14 * s.c14 - qa + sign * qb)
         i = 8.0 / SQRT3 * (s.c23 * s.c23 - qc + sign * qb)
         t.append(max(0.0, c) if c >= i else max(0.0, i))
-        branches.append("corner" if c >= i else "inner")
     conc = 2.0 * max(abs(s.c14) - np.sqrt(s.p22 * s.p33), abs(s.c23) - np.sqrt(s.p11 * s.p44), 0.0)
-    return (i_ab, i_ba, s_ab, s_ba, abs(s_ab - s_ba), t[0], t[1], abs(t[0] - t[1]), conc), \
-        tuple(branches)
+    return i_ab, i_ba, s_ab, s_ba, abs(s_ab - s_ba), t[0], t[1], abs(t[0] - t[1]), conc
 
 
 def measures(s):
     """The same from steerability_entropy, steerability_ent and concurrence_xstate."""
     e, w = steerability_entropy(s), steerability_ent(s)
     return (e.i_ab, e.i_ba, e.s_ab, e.s_ba, e.delta, w.t_ab, w.t_ba, w.delta,
-            concurrence_xstate(s)), (w.branch_ab, w.branch_ba)
+            concurrence_xstate(s))
 
 
 def bits(values):
@@ -320,19 +318,17 @@ def bits(values):
 
 
 def assert_column_equals_per_state(states):
-    values, branches = measures(XStateColumns.of(states))
-    for v in values + branches:
+    values = measures(XStateColumns.of(states))
+    for v in values:
         assert isinstance(v, np.ndarray) and v.shape == (len(states),)
-    assert all(v.dtype == np.float64 for v in values)
+        assert v.dtype == np.float64
     rows = [measures(s) for s in states]
-    for s, (got, got_branches) in zip(states, rows):
-        want, want_branches = reference_measures(s)
+    for s, got in zip(states, rows):
+        want = reference_measures(s)
         assert np.array_equal(bits(got), bits(want)), s
         assert tuple(map(type, got)) == tuple(map(type, want)), s
-        assert got_branches == want_branches, s
     assert np.array_equal(bits(np.array(values).T),
-                          bits(np.reshape([got for got, _ in rows], (-1, len(values)))))
-    assert list(zip(*(b.tolist() for b in branches))) == [b for _, b in rows]
+                          bits(np.reshape(rows, (-1, len(values)))))
 
 
 class TestColumnMeasures:
@@ -360,16 +356,14 @@ class TestColumnMeasures:
         rows = [[0.5, 0.0, 0.0, 0.5, 0.5, 0.0], [0.5, -0.0, -0.0, 0.5, 0.5, -0.0],
                 [-0.0, 0.5, 0.5, -0.0, -0.0, 0.5], [0.25, 0.25, 0.25, 0.25, math.nan, 0.0],
                 [0.25, math.nan, 0.25, 0.25, 0.1, 0.1], [math.nan] * 6]
-        values, branches = measures(XStateColumns(*np.array(rows).T))
+        values = measures(XStateColumns(*np.array(rows).T))
         for k, row in enumerate(rows):
             # One state's fields as floats, not validated.
-            want, want_branches = reference_measures(XStateColumns(*row))
-            got, got_branches = measures(XStateColumns(*row))
+            want = reference_measures(XStateColumns(*row))
+            got = measures(XStateColumns(*row))
             assert np.array_equal(bits(got), bits(want)), row
             assert tuple(map(type, got)) == tuple(map(type, want)), row
-            assert got_branches == want_branches, row
             assert np.array_equal(bits([v[k] for v in values]), bits(want)), row
-            assert tuple(b[k] for b in branches) == want_branches, row
 
     @pytest.mark.parametrize("at", [0, 4, 9])
     def test_bad_state_raises_its_one_state_text(self, at):
