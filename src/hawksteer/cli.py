@@ -133,13 +133,15 @@ def _read_columns(path: str, pair: str) -> tuple[list[float], list[tuple[str, li
 
 def _read_panel(path: str, pair: str) -> tuple[np.ndarray, list] | None:
     """_read_columns' result as float64 columns, by one np.loadtxt that also parses the header's
-    last column, so a short row fails. None for a pipe (read once), a quote or NUL, a line past
-    csv's field limit, a missing column, no full first row or curve it fills, a failed parse."""
+    last column, so a short row fails. None for a pipe (read once), a quote or NUL, an aligned
+    newline-free window of half csv's field limit (a line of the limit covers one), a missing
+    column, no full first row or curve it fills, a failed parse."""
     if not Path(path).is_file():
         return None
     data = Path(path).read_bytes()
-    span = np.diff(np.flatnonzero(np.frombuffer(data, "u1") == 10), prepend=-1, append=len(data))
-    if b'"' in data or b"\0" in data or span.max() > csv.field_size_limit():
+    w = max(csv.field_size_limit() // 2, 1)
+    if b'"' in data or b"\0" in data or any(
+            data.find(b"\n", i, i + w) < 0 for i in range(0, len(data) - w + 1, w)):
         return None
     try:
         with open(path, newline="", encoding="utf-8") as fh:

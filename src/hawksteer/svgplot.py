@@ -82,6 +82,12 @@ def _widen(lo: float, hi: float) -> float:
     return max(lo + 1.0, math.nextafter(lo, math.inf)) if hi <= lo else hi
 
 
+def _extreme(v: np.ndarray, reduce) -> float:
+    """min or max of v by the builtins' rules: a leading NaN wins, a later one never, and of
+    equal values (0.0 and -0.0 too) the first; reduce is np.fmin.reduce or np.fmax.reduce."""
+    return float(v[0] if math.isnan(v[0]) else v[np.argmax(v == reduce(v))])
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
@@ -94,7 +100,8 @@ def render_lineplot(
     ylabel: str,
     title: str = "",
 ) -> str:
-    """Render curves sharing the x grid (floats or float64 columns) into an SVG string."""
+    """Render curves sharing the x grid (floats or float64 columns) into an SVG string.
+    The axis ranges are the builtin min and max of the columns, read by numpy (_extreme)."""
     x = np.asarray(x, dtype=np.float64)
     ys = [np.asarray(series, dtype=np.float64) for _, series in curves]
     if not len(x) or not curves:
@@ -102,11 +109,11 @@ def render_lineplot(
     for (name, _), series in zip(curves, ys):
         if len(series) != len(x):
             raise ValueError(f"curve {name!r} has {len(series)} points, x has {len(x)}")
-    xs, flat = x.tolist(), np.concatenate(ys).tolist()  # Python's NaN and -0.0 rules below
-    xmin = min(xs)
-    xmax = _widen(xmin, max(xs))
-    ymin = min(0.0, min(flat))
-    ymax = _widen(ymin, max(flat))
+    flat = np.concatenate(ys)  # curve by curve: the order the y range's ties follow
+    xmin = _extreme(x, np.fmin.reduce)
+    xmax = _widen(xmin, _extreme(x, np.fmax.reduce))
+    ymin = min(0.0, _extreme(flat, np.fmin.reduce))
+    ymax = _widen(ymin, _extreme(flat, np.fmax.reduce))
     pad = 0.05 * (ymax - ymin)
     ymax += pad
 

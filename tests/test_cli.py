@@ -38,6 +38,7 @@ GOLDEN_SWEEP = [
     "--measures", "both",
 ]
 GOLDEN_CRITICAL_OMEGAS = ("1e-3", "0.37", "1", "2", "7.5", "1e3")
+GOLDEN_LINES = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
 
 
 # A 2,000-row log sweep, the input of the memory guards.
@@ -384,6 +385,54 @@ class TestCriticalBoundaryProperty:
         assert (code == 1) == bool(unfound), (code, err)
 
 
+@st.composite
+def plot_boundary_csvs(draw):
+    """A panel, and a small CSV of the golden sweep's header and 0-5 of its rows:
+    some data cells from CLI_VALUES, then maybe an empty cell, a short row or a quote."""
+    panel = draw(st.sampled_from(list(cli._PANEL_PAIR)))
+    rows = [line.rstrip("\n").split(",") for line in [GOLDEN_LINES[0]] + draw(
+        st.lists(st.sampled_from(GOLDEN_LINES[1:]), max_size=5))]
+    if len(rows) > 1:
+        cells = st.tuples(st.integers(1, len(rows) - 1), st.integers(0, len(rows[0]) - 1))
+        for r, c in draw(st.lists(cells, max_size=6)):
+            rows[r][c] = draw(CLI_VALUES)
+        r, c = draw(cells)
+        edit = draw(st.sampled_from(["none", "empty", "short", "quote"]))
+        if edit == "empty":
+            rows[r][c] = ""
+        elif edit == "short":
+            del rows[r][c + 1:]
+        elif edit == "quote":  # csv reads the quoted cell as it is, or with a comma
+            rows[r][c] = f'"{rows[r][c]}{draw(st.sampled_from(["", ","]))}"'
+    return "".join(",".join(row) + "\n" for row in rows), panel
+
+
+class TestPlotBoundaryProperty:
+    """plot on small golden CSVs with cells from CLI_VALUES, in process with warnings
+    as errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plot_boundary_csvs())
+    def test_every_run_ends_one_of_two_ways(self, tmp_path_factory, csv_panel):
+        text, panel = csv_panel
+        src = tmp_path_factory.getbasetemp() / "plot_boundary.csv"
+        src.write_text(text, encoding="utf-8")
+        code, out, err = run_in_process(["plot", str(src), "--panel", panel])
+        if code == 2:  # refused: one error line, no data
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+            return
+        assert code == 0 and err == "", (code, err)
+        # Exit 0: a whole SVG, one polyline and legend entry per curve of the
+        # panel's pair with no empty cell, in the header's order.
+        pair = cli._PANEL_PAIR[panel]
+        header, *rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        want = [f for f in cli._CURVES if f"{pair}_{f}" in header
+                and all(row[header.index(f"{pair}_{f}")] for row in rows)]
+        assert want and out.startswith("<svg") and out.endswith("</svg>\n"), out[-40:]
+        assert out.count("<polyline ") == len(want), (want, out.count("<polyline "))
+        assert re.findall(r'font-size="12">([^<]*)</text>', out) == want  # the legend
+
+
 class TestCritical:
     def test_omega_scaling(self, tmp_path):
         outs = {}
@@ -498,7 +547,6 @@ class TestMonogamy:
             assert "--t-values" in captured.err and entry in captured.err, values
 
 
-GOLDEN_LINES = (DATA / "golden_sweep.csv").read_text().splitlines(keepends=True)
 # Small sweep CSVs for the plot reader property: all pairs and both measures
 # (the golden file), and pair subsets with one measure deselected.
 PLOT_BASES = [
@@ -561,9 +609,30 @@ def plot_outcome(src: Path, panel: str, fast: bool):
     return status, std.getvalue(), err.getvalue(), out.read_bytes() if out.exists() else None
 
 
+def zero_padded(k: int, n: int, eol: str) -> str:
+    """The golden sweep with line k zero-padded after its first comma to n bytes (its end
+    of line not counted), ending in eol: the padded cell is c_sq or its header name."""
+    lines = [line.rstrip("\n") for line in GOLDEN_LINES]
+    first, rest = lines[k].split(",", 1)
+    lines[k] = f"{first},{'0' * (n - len(lines[k]))}{rest}"
+    return "\n".join(lines) + eol
+
+
+def long_line_examples(test):
+    """@example a line of csv's field limit, one byte either side of it and of half of it:
+    first, in the middle and last, with and without a final newline."""
+    limit = csv.field_size_limit()
+    for n in (limit - 1, limit, limit + 1, limit // 2 - 1, limit // 2 + 1):
+        for k in (0, len(GOLDEN_LINES) // 2, len(GOLDEN_LINES) - 1):
+            for eol in ("\n", ""):
+                test = example((zero_padded(k, n, eol), "fig1"))(test)
+    return test
+
+
 class TestPlot:
     @settings(max_examples=200, deadline=None)
     @given(plot_csvs())
+    @long_line_examples
     @example(("".join(GOLDEN_LINES), "fig3"))
     @example((GOLDEN_LINES[0], "fig3"))  # no data row
     @example(("\n" + "".join(GOLDEN_LINES), "fig3"))  # a blank line before the header

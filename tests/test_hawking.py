@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import gc
 import math
 import weakref
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -475,6 +477,69 @@ class TestCriticalAdmissibleRange:
                 assert pt.discrepancy <= 1e-6 * pt.closed_form, (omega, pt)
         birth = ct["t_birth_entropy_abar_to_a"].numeric
         assert abs(birth - 5.8021 * omega) <= 1e-3 * (5.8021 * omega), omega
+
+
+def abbar_raw_sums(r: Decimal) -> tuple[Decimal, Decimal]:
+    """ABbar's raw entropic sums (A -> Abar, Abar -> A) at T/omega = r, in 40-digit
+    decimal: closed_form_entropy's formulas with no float in their path.  Each sum is
+    its direction's steerability, (I - 2) / (I_MAX - 2), before the flush to zero."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, ln2 = 1 / r, Decimal(2).ln()
+        c2, s2 = 1 / ((-x).exp() + 1), 1 / (x.exp() + 1)
+
+        def xlg(y):
+            return y * y.ln() / ln2 if y > 0 else Decimal(0)
+
+        s = s2.sqrt()  # the amplitude S
+        lp = xlg(1 + s) + xlg(1 - s)
+        return (2 * lp + xlg(c2) + xlg(s2)) / 4, (2 * lp - xlg(1 + c2) + xlg(c2)) / 4
+
+
+# Each entropic birth's point name, and a bracket of T/omega in which its raw sum rises.
+ENTROPIC_BIRTHS = (("t_birth_entropy_a_to_abar", "1", "1.2"),
+                   ("t_birth_entropy_abar_to_a", "5", "7"))
+
+
+@functools.cache
+def entropic_birth(direction: int, level: Decimal) -> Decimal:
+    """The T/omega where ABbar's raw sum in `direction` (0: A -> Abar, 1: Abar -> A)
+    rises through `level`: 110 decimal bisection steps, past 40 digits."""
+    _, lo, hi = ENTROPIC_BIRTHS[direction]
+    lo, hi = Decimal(lo), Decimal(hi)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        assert abbar_raw_sums(lo)[direction] < level < abbar_raw_sums(hi)[direction]
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if abbar_raw_sums(mid)[direction] > level else (mid, hi)
+        return (lo + hi) / 2
+
+
+# The ABbar entropic zero crossings, T/omega where each raw sum is 0, to 20 digits.
+ZERO_CROSSINGS = (Decimal("1.0734509476253320701"), Decimal("5.8020456115810111930"))
+
+
+class TestEntropicBirthsExact:
+    def test_zero_crossings_recomputed(self):
+        for direction, want in enumerate(ZERO_CROSSINGS):
+            got = entropic_birth(direction, Decimal(0))
+            assert abs(got - want) <= Decimal("1e-19"), (direction, got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(math.log(OMEGA_MIN), math.log(OMEGA_MAX)).map(
+        lambda u: min(max(math.exp(u), OMEGA_MIN), OMEGA_MAX)))
+    @example(OMEGA_MIN)
+    @example(OMEGA_MAX)
+    @example(1.0)
+    def test_numeric_births_match_decimal_crossing(self, omega):
+        # critical's entropic births are where the steerability rises through
+        # BIRTH_EPS: the decimal crossing of that level, to rel 1e-11 (the
+        # bisection's xtol is 1e-12 * omega), over the admissible omega.
+        ct = {p.name: p for p in critical_temperatures(omega)}
+        for direction, (name, _, _) in enumerate(ENTROPIC_BIRTHS):
+            want = float(entropic_birth(direction, Decimal(hawking.BIRTH_EPS)))
+            assert ct[name].numeric / omega == pytest.approx(want, rel=1e-11), (omega, name)
 
 
 class TestMonogamy:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawksteer.cli import main
@@ -172,14 +172,37 @@ KINDS = ("ties", "integral", "constant", "non-finite", "zeros", "uniform")
 GRIDS = ("ties", "linear", "log", "unsorted", "zeros", "constant")
 
 
+@st.composite
+def drawn_panels(draw):
+    """x and curves from draw_grid and draw_series: 1-2000 points, one grid, 1-6 curve kinds."""
+    n = draw(st.integers(1, 2000))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+    grid = draw(st.sampled_from(GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw_grid(rng, grid, n)
+    return x, [(f"c{k}", draw_series(rng, kind, n)) for k, kind in enumerate(kinds)]
+
+
+NAN, INF = math.nan, math.inf
+
+
 class TestRenderLineplot:
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 2000), st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
-           st.sampled_from(GRIDS), st.integers(0, 2**32 - 1))
-    def test_columnar_equals_per_point_bytes(self, n, kinds, grid, seed):
-        rng = np.random.default_rng(seed)
-        x = draw_grid(rng, grid, n)
-        curves = [(f"c{k}", draw_series(rng, kind, n)) for k, kind in enumerate(kinds)]
+    @given(drawn_panels())
+    # The builtins' min and max rules at their edges: a leading NaN in x only,
+    # a NaN only in the second curve (leading there, not in the y values),
+    # -0.0 before 0.0 and the reverse, in x and across curves, an all-NaN
+    # curve, one point, ±inf as the extremes.
+    @example(([NAN, 1.0, 2.0], [("c0", [0.5, 1.0, 0.25])]))
+    @example(([0.0, 1.0, 2.0], [("c0", [0.1, 0.2, 0.3]), ("c1", [NAN, 0.4, NAN])]))
+    @example(([-0.0, 0.0, 1.0], [("c0", [-1.0, -0.0, -0.5]), ("c1", [0.0, -2.0, -0.0])]))
+    @example(([0.0, -0.0, 1.0], [("c0", [-1.0, 0.0, -0.5]), ("c1", [-0.0, -2.0, 0.0])]))
+    @example(([0.0, 1.0, 2.0], [("c0", [NAN, NAN, NAN]), ("c1", [0.1, 0.9, 0.3])]))
+    @example(([0.0, 1.0, 2.0], [("c0", [0.1, 0.9, 0.3]), ("c1", [NAN, NAN, NAN])]))
+    @example(([2.0], [("c0", [0.5]), ("c1", [-0.25])]))
+    @example(([-INF, 0.0, INF], [("c0", [INF, 0.5, -INF]), ("c1", [-INF, 0.25, INF])]))
+    def test_columnar_equals_per_point_bytes(self, panel):
+        x, curves = panel
         args = (x, curves, "T/ω", "steerability", "title")
         want = loop_render_lineplot(*args)
         assert render_lineplot(*args) == want
