@@ -76,19 +76,19 @@ def cmd_critical(args) -> int:
 
 def cmd_monogamy(args) -> int:
     threshold = monogamy_threshold(args.omega)
-    params = []
+    temps = []
     for entry in args.t_values.split(","):
         try:
             t = float(entry)
         except ValueError:
             raise ValueError(f"--t-values entry {entry!r} is not a number") from None
-        params.append(HawkingParams(t, args.omega))
+        temps.append(HawkingParams(t, args.omega).temperature)
     require_positive("omega / ln(sqrt(3))", threshold)  # not inf: r3 and r4 apply above it
     rows = []
-    for p, res in zip(params, monogamy_grid(params)):
+    for t, res in zip(temps, monogamy_grid(temps, args.omega)):
         ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
         rows.append({
-            "temperature": p.temperature,
+            "temperature": t,
             "threshold": threshold,
             "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,
             "status": "pass" if ok else "fail",

@@ -6,11 +6,12 @@ once Bob hovers near the horizon, into a pure three-mode state over
 
     C = 1 / sqrt(exp(-w/T) + 1),   S = 1 / sqrt(exp(w/T) + 1),
 
-with C^2 + S^2 = 1.  This module provides the amplitude map, the 8x8
-three-mode density matrix, closed-form steering reports for the three
-two-mode reductions, the matching generic pipeline (partial trace +
-X-state machinery) used as a cross-check, critical temperatures, and
-the steering/entanglement monogamy residuals.
+with C^2 + S^2 = 1.  Everything below depends on T and w only through
+x = w/T, a float or a float64 column (inf for T = 0).  This module provides
+the amplitude map, the 8x8 three-mode density matrix, closed-form steering
+reports for the three two-mode reductions, the matching generic pipeline
+(partial trace + X-state machinery) used as a cross-check, critical
+temperatures, and the steering/entanglement monogamy residuals.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +51,11 @@ class HawkingParams:
     def __post_init__(self):
         require_positive("temperature", self.temperature)
         require_positive("omega", self.omega)
+
+    @property
+    def x(self) -> float:
+        """omega / T in Python floats: a tiny np.float64 T is x = inf with no numpy warning."""
+        return float(self.omega) / float(self.temperature)
 
 
 @dataclass(frozen=True)
@@ -89,20 +94,6 @@ def amplitudes_at(x) -> HawkingAmplitudes:
     """
     root = _libm(math.sqrt, 1.0 + _libm(math.exp, -x))
     return HawkingAmplitudes(c_amp=1.0 / root, s_amp=_libm(math.exp, -0.5 * x) / root)
-
-
-def amplitudes(p: HawkingParams) -> HawkingAmplitudes:
-    """Amplitude pair (C, S) for given (T, omega), stable for extreme ratios.
-
-    x = omega / T is divided as Python floats: for a tiny np.float64 T
-    numpy would warn on the overflow to x = inf, which is the frozen limit.
-    """
-    return amplitudes_at(float(p.omega) / float(p.temperature))
-
-
-def amplitudes_grid(params: Sequence[HawkingParams]) -> HawkingAmplitudes:
-    """amplitudes at every params, as float64 columns equal to it bit for bit."""
-    return amplitudes_at(np.array([float(p.omega) / float(p.temperature) for p in params]))
 
 
 def tripartite_states(a: HawkingAmplitudes) -> DenseState:
@@ -162,7 +153,7 @@ def closed_form_report(p: HawkingParams, pair: str) -> BipartitionReport:
     Bypasses the generic X-state machinery on purpose: this is one side
     of the pipeline-vs-closed-form cross-validation.
     """
-    return closed_form_report_from_amplitudes(amplitudes(p), pair)
+    return closed_form_report_from_amplitudes(amplitudes_at(p.x), pair)
 
 
 def closed_form_report_from_amplitudes(a: HawkingAmplitudes, pair: str) -> BipartitionReport:
@@ -262,18 +253,18 @@ def pipeline_report(p: HawkingParams, pair: str) -> BipartitionReport:
     """
     if pair not in PAIRS:
         raise ValueError(f"unknown pair: {pair!r}")
-    return _measures(pair, reductions_at(amplitudes(p))[PAIRS.index(pair)])
+    return _measures(pair, reductions_at(amplitudes_at(p.x))[PAIRS.index(pair)])
 
 
-def pipeline_columns(params: Sequence[HawkingParams]) -> dict[str, BipartitionReport]:
-    """Each pair's pipeline measures at every params, as one report of float64 columns.
+def pipeline_columns(x: np.ndarray) -> dict[str, BipartitionReport]:
+    """Each pair's pipeline measures at every x = omega / T of a float64 column.
 
     The three-mode states are one validated (N, 8, 8) stack, the three pairs
     one partial trace of it, and each pair's N reductions one column of
     measures, equal to pipeline_report's bit for bit.
     """
     return {pair: _measures(pair, XStateColumns.of(reds))
-            for pair, reds in zip(PAIRS, _reductions(amplitudes_grid(params)))}
+            for pair, reds in zip(PAIRS, _reductions(amplitudes_at(x)))}
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +437,24 @@ class MonogamyResiduals:
         return tuple(r for r in (self.r1, self.r2, self.r3, self.r4) if r is not None)
 
 
-def monogamy_grid(params: Sequence[HawkingParams]) -> list[MonogamyResiduals]:
-    """The four residuals at every params, from one pipeline_columns.
+def monogamy_grid(temperatures, omega: float) -> list[MonogamyResiduals]:
+    """The four residuals at every temperature, from one pipeline_columns(omega / T).
 
-    r3 and r4 are None at or below monogamy_threshold.  A concurrence is
+    r3 and r4 are None at or below monogamy_threshold(omega), tested in T:
+    x < ln(sqrt 3) is not the same test after rounding.  A concurrence is
     squared by libm's pow: numpy's array ** 2 is a multiply, which differs
     from it in the last ulp and would change the printed residuals.
     """
-    columns = pipeline_columns(params)
+    temps = np.asarray(temperatures, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a tiny T is x = inf, the frozen limit
+        x = omega / temps
+    columns = pipeline_columns(x)
     ab, abbar, bbbar = (columns[pair] for pair in PAIRS)
     cab2, cabbar2, cbbbar2 = (_libm(_square, r.concurrence) for r in (ab, abbar, bbbar))
     r1 = (ab.ent.t_ab - abbar.ent.t_ab) - (cab2 - cabbar2)
     r2 = (ab.ent.t_ab + abbar.ent.t_ab) - (cab2 + cabbar2 - 2.0 / SQRT3 * cbbbar2)
     r3 = 0.5 * (3.0 - SQRT3) * (ab.ent.t_ba - abbar.ent.t_ba) - (cab2 - cabbar2)
     r4 = 0.5 * (3.0 + SQRT3) * (ab.ent.t_ba + abbar.ent.t_ba) - (cab2 + cabbar2)
-    return [MonogamyResiduals(r1=w, r2=x, r3=y, r4=z)
-            if p.temperature > monogamy_threshold(p.omega)
-            else MonogamyResiduals(r1=w, r2=x, r3=None, r4=None)
-            for p, w, x, y, z in zip(params, r1, r2, r3, r4)]
+    return [MonogamyResiduals(r1=a, r2=b, r3=c, r4=d) if above
+            else MonogamyResiduals(r1=a, r2=b, r3=None, r4=None)
+            for above, a, b, c, d in zip(temps > monogamy_threshold(omega), r1, r2, r3, r4)]

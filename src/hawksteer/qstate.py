@@ -84,11 +84,6 @@ class TwoQubitXState:
     def populations(self) -> tuple[float, float, float, float]:
         return (self.p11, self.p22, self.p33, self.p44)
 
-    def swapped(self) -> "TwoQubitXState":
-        """Exchange the two qubits (|01> <-> |10|)."""
-        return TwoQubitXState(self.p11, self.p33, self.p22, self.p44,
-                              self.c14, self.c23)
-
 
 class XStateColumns(NamedTuple):
     """The fields of N validated X-states as float64 columns, for the column measures."""

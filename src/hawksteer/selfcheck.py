@@ -12,9 +12,7 @@ import numpy as np
 from . import steering_ent, steering_entropy
 from .hawking import (
     PAIRS,
-    HawkingParams,
-    amplitudes,
-    amplitudes_grid,
+    amplitudes_at,
     closed_form_report_from_amplitudes,
     monogamy_grid,
     pipeline_columns,
@@ -50,8 +48,8 @@ def grid_temperatures() -> np.ndarray:
 def reduced_state_population() -> list[TwoQubitXState]:
     """The three reduced-state families sampled on the temperature grid."""
     states = []
-    for t in grid_temperatures():
-        a = amplitudes(HawkingParams(t, 1.0))
+    for x in (1.0 / grid_temperatures()).tolist():
+        a = amplitudes_at(x)
         states.extend(reduced_xstate(a, pair) for pair in PAIRS)
     return states
 
@@ -95,10 +93,6 @@ def check_entropy_oracle() -> tuple[str, bool, str]:
                     "max discrepancy", entropy_diffs(oracle_states()), ORACLE_TOL)
 
 
-def _grid_params() -> list[HawkingParams]:
-    return [HawkingParams(t, 1.0) for t in grid_temperatures()]
-
-
 def _values(rep) -> np.ndarray:
     """A column report's ENTROPY_FIELDS, ENT_FIELDS and concurrence, one row each."""
     return np.array([getattr(rep.entropy, f) for f in ENTROPY_FIELDS]
@@ -106,8 +100,8 @@ def _values(rep) -> np.ndarray:
 
 
 def check_pipeline_equivalence() -> tuple[str, bool, str]:
-    params = _grid_params()
-    reports, cols = pipeline_columns(params), amplitudes_grid(params)
+    x = 1.0 / grid_temperatures()
+    reports, cols = pipeline_columns(x), amplitudes_at(x)
     diffs = [_values(closed_form_report_from_amplitudes(cols, pair)) - _values(reports[pair])
              for pair in PAIRS]
     return _verdict("matrix pipeline vs closed-form reports",
@@ -115,7 +109,7 @@ def check_pipeline_equivalence() -> tuple[str, bool, str]:
 
 
 def check_monogamy() -> tuple[str, bool, str]:
-    residuals = [r for res in monogamy_grid(_grid_params()) for r in res.applicable]
+    residuals = [r for res in monogamy_grid(grid_temperatures(), 1.0) for r in res.applicable]
     return _verdict("steering/entanglement monogamy residuals",
                     "max residual", residuals, MONOGAMY_TOL)
 

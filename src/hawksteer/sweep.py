@@ -11,7 +11,6 @@ are byte-identical.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -20,8 +19,7 @@ import numpy as np
 from .hawking import (
     PAIRS,
     BipartitionReport,
-    HawkingParams,
-    amplitudes,
+    HawkingAmplitudes,
     amplitudes_at,
     closed_form_report_from_amplitudes,
     require_positive,
@@ -92,20 +90,24 @@ def _pair_values(rep: BipartitionReport) -> tuple[float, ...]:
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict[str, float | None]]:
-    """Evaluate every grid point, in grid order."""
+    """Evaluate every grid point, in grid order, from one amplitude column at x = omega / T."""
     cols, pairs = columns(cfg), cfg.ordered_pairs
     skip = _DESELECTED_PREFIX.get(cfg.measures)
     kept = [skip is None or not f.startswith(skip) for f in PAIR_FIELDS]
 
-    def record(t: float) -> dict[str, float | None]:
-        a = amplitudes_at(math.inf) if t == 0.0 else amplitudes(HawkingParams(t, cfg.omega))
-        values = [t / cfg.omega, a.c_amp ** 2, a.s_amp ** 2]
+    def record(t: float, c: float, s: float) -> dict[str, float | None]:
+        a = HawkingAmplitudes(c, s)
+        values = [t / cfg.omega, c ** 2, s ** 2]  # a float's ** 2 is libm's pow
         for pair in pairs:
             vals = _pair_values(closed_form_report_from_amplitudes(a, pair))
             values += [v if k else None for v, k in zip(vals, kept)]
         return dict(zip(cols, values))
 
-    return [record(t) for t in cfg.temperatures()]
+    temps = cfg.temperatures()
+    with np.errstate(divide="ignore", over="ignore"):  # T = 0 is x = inf, the frozen limit
+        x = cfg.omega / temps
+    amps = amplitudes_at(x)
+    return [record(*row) for row in zip(temps.tolist(), amps.c_amp.tolist(), amps.s_amp.tolist())]
 
 
 def _json_cell(v) -> str:

@@ -10,10 +10,16 @@ import dataclasses
 import pytest
 from hypothesis import settings
 
+from hawksteer.qstate import TwoQubitXState
 from hawksteer.sweep import SweepConfig, run_sweep
 
 settings.register_profile("reproducible", derandomize=True)
 settings.load_profile("reproducible")
+
+
+def swapped(s: TwoQubitXState) -> TwoQubitXState:
+    """s with its two qubits exchanged (|01> <-> |10>)."""
+    return TwoQubitXState(s.p11, s.p33, s.p22, s.p44, s.c14, s.c23)
 
 
 @pytest.fixture(scope="session")

@@ -94,7 +94,7 @@ def test_criterion_4_monogamy():
     t0 = time.perf_counter()
     residuals = []
     grid = grid_temperatures()
-    for t, r in zip(grid, monogamy_grid([HawkingParams(float(t), 1.0) for t in grid])):
+    for t, r in zip(grid, monogamy_grid(grid, 1.0)):
         if t <= monogamy_threshold(1.0):
             assert r.r3 is None and r.r4 is None
         residuals += r.applicable

@@ -3,7 +3,8 @@
 `perfbench/workloads.py` drives hawksteer through its module attributes
 and reads the fields of its reports. A name deleted from the package, or
 a field dropped from a report, would only show as a failed benchmark
-run; these tests fail here instead.
+run; these tests fail here instead.  So would a sweep that changes the
+number of kernel calls the traced runs count.
 """
 
 import ast
@@ -12,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from hawksteer import hawking
+from hawksteer import hawking, sweep
 from hawksteer.selfcheck import ENT_FIELDS, ENTROPY_FIELDS
+from hawksteer.sweep import SweepConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 MODULES = ("cli", "hawking", "qstate", "selfcheck", "steering_ent", "steering_entropy")
@@ -55,3 +57,29 @@ def test_reports_have_the_fields_workloads_read(report):
             values += [getattr(rep.entropy, f) for f in {*ENTROPY_FIELDS, "s_ab", "s_ba", "delta"}]
             values += [getattr(rep.ent, f) for f in ENT_FIELDS]
             assert all(isinstance(v, float) for v in values), (t, pair, values)
+
+
+@pytest.mark.parametrize("cfg", [
+    SweepConfig(omega=1.0, t_min=0.0, t_max=10.0, steps=37),
+    SweepConfig(omega=0.7, t_min=1e-3, t_max=1e4, steps=50, grid="log"),
+    SweepConfig(omega=2.0, t_min=0.5, t_max=3.0, steps=20, pairs=("BBbar",), measures="ent"),
+    SweepConfig(omega=1.0, t_min=1e-300, t_max=1e300, steps=25, grid="log",
+                pairs=("AB", "BBbar"), measures="entropy"),
+])
+def test_run_sweep_makes_one_kernel_call_per_row_and_pair(monkeypatch, cfg):
+    """The traced figures runs check that `hawking.closed_form` counts steps x pairs
+    calls, so a sweep that changes its number of kernel calls fails only there.
+
+    Delete this test together with that check, when the benchmark counts
+    evaluated row x pair elements instead of calls (ROADMAP, benchmark revision).
+    """
+    calls = []
+    kernel = sweep.closed_form_report_from_amplitudes
+
+    def counted(a, pair):
+        calls.append(pair)
+        return kernel(a, pair)
+
+    monkeypatch.setattr(sweep, "closed_form_report_from_amplitudes", counted)
+    sweep.run_sweep(cfg)
+    assert len(calls) == cfg.steps * len(cfg.pairs)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hawksteer import cli, selfcheck, steering_ent, steering_entropy
 from hawksteer.cli import main
 from hawksteer.hawking import (
-    HawkingParams,
+    PAIRS,
     MonogamyResiduals,
     monogamy_grid,
     monogamy_threshold,
@@ -385,6 +385,107 @@ class TestCriticalBoundaryProperty:
         assert (code == 1) == bool(unfound), (code, err)
 
 
+def log_uniform(lo: float, hi: float):
+    """Floats log-uniform in [10^lo, 10^hi]."""
+    return st.floats(lo, hi).map(lambda u: 10.0 ** u)
+
+
+def unscaled_and_scaled(argv_at, k: int) -> list[str]:
+    """stdout of main(argv_at(1.0)) and of main(argv_at(2.0 ** k)); each exits 0, silent."""
+    outs = []
+    for scale in (1.0, 2.0 ** k):
+        code, out, err = run_in_process(argv_at(scale))
+        assert (code, err) == (0, ""), (code, err)
+        outs.append(out)
+    return outs
+
+
+class TestScaleInvariance:
+    """Every output is a function of x = omega / T.  Scaling omega and every T by
+    2^k, k in -40..40, is exact in floats and leaves x unchanged, so it changes no
+    cell computed from x.  In process, with warnings as errors."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega=log_uniform(-3.0, 3.0), t_max=log_uniform(-2.0, 3.0),
+           t_min=st.one_of(st.just(0.0), st.floats(0.0, 0.9)), steps=st.integers(2, 40),
+           pairs=st.lists(st.sampled_from(PAIRS), min_size=1, unique=True),
+           measures=st.sampled_from(MEASURES), fmt=st.sampled_from(["csv", "json"]),
+           k=st.integers(-40, 40))
+    def test_linear_sweep_same_bytes(self, omega, t_max, t_min, steps, pairs, measures,
+                                     fmt, k):
+        # t_max in units of omega, t_min as a fraction of t_max.
+        hi = t_max * omega
+        lo = t_min * hi
+        base, scaled = unscaled_and_scaled(lambda s: [
+            "sweep", f"--omega={omega * s!r}", f"--t-min={lo * s!r}", f"--t-max={hi * s!r}",
+            f"--steps={steps}", f"--pairs={','.join(pairs)}", f"--measures={measures}",
+            f"--format={fmt}"], k)
+        assert scaled == base
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega=log_uniform(-3.0, 3.0), log_factors=st.lists(st.floats(-3.0, 3.0), max_size=8),
+           fmt=st.sampled_from(["csv", "json"]), k=st.integers(-40, 40))
+    def test_monogamy_same_residual_cells(self, omega, log_factors, fmt, k):
+        # T at and around omega / ln(sqrt 3), the rest within three decades of it.
+        th = monogamy_threshold(omega)
+        temps = [th, math.nextafter(th, 0.0), math.nextafter(th, math.inf),
+                 *(th * 10.0 ** u for u in log_factors)]
+        scale = 2.0 ** k
+        base, scaled = unscaled_and_scaled(lambda s: [
+            "monogamy", f"--omega={omega * s!r}", f"--format={fmt}",
+            "--t-values=" + ",".join(repr(t * s) for t in temps)], k)
+        if fmt == "csv":
+            base_rows, scaled_rows = ([line.split(",", 1) for line in out.splitlines()]
+                                      for out in (base, scaled))
+            assert scaled_rows[0] == base_rows[0]  # the header
+            assert len(scaled_rows) == len(base_rows) == len(temps) + 1
+            for (t0, cells0), (t1, cells1) in zip(base_rows[1:], scaled_rows[1:]):
+                assert float(t1) == float(t0) * scale
+                assert cells1 == cells0
+        else:
+            base_rows, scaled_rows = json.loads(base), json.loads(scaled)
+            assert len(scaled_rows) == len(base_rows) == len(temps)
+            for r0, r1 in zip(base_rows, scaled_rows):
+                for key in ("temperature", "threshold"):
+                    assert r1.pop(key) == r0.pop(key) * scale
+                assert r1 == r0
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=log_uniform(-3.0, 3.0), t_min=log_uniform(-3.0, 0.0),
+           t_max=log_uniform(0.5, 4.0), steps=st.integers(2, 40), k=st.integers(-40, 40))
+    def test_log_sweep_same_t_over_omega(self, omega, t_min, t_max, steps, k):
+        # np.geomspace interpolates log10(T), which does not scale exactly: T / omega
+        # agrees to float64 rounding of ~20 in log10, times ln 10.
+        base, scaled = unscaled_and_scaled(lambda s: [
+            "sweep", f"--omega={omega * s!r}", f"--t-min={t_min * omega * s!r}",
+            f"--t-max={t_max * omega * s!r}", f"--steps={steps}", "--grid=log"], k)
+        base_rows, scaled_rows = (list(csv.DictReader(out.splitlines())) for out in (base, scaled))
+        assert len(scaled_rows) == len(base_rows) == steps
+        for r0, r1 in zip(base_rows, scaled_rows):
+            assert float(r1["t_over_omega"]) == pytest.approx(float(r0["t_over_omega"]),
+                                                               rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=log_uniform(-3.0, 3.0), k=st.integers(-40, 40))
+    def test_critical_same_points_over_omega(self, omega, k):
+        # The scan grid is an np.geomspace too, so numeric / omega is compared
+        # relatively: a crossing to the rel 1e-11 of the bisection's xtol 1e-12 * omega;
+        # the peak to criterion 3's rel 1e-6, since the float witness is flat within
+        # a few sqrt(eps) of its maximum (5.9e-8 measured over 600 draws).  Each
+        # closed form scales exactly.
+        scale = 2.0 ** k
+        base, scaled = unscaled_and_scaled(lambda s: ["critical", f"--omega={omega * s!r}"], k)
+        base_rows, scaled_rows = (list(csv.DictReader(out.splitlines())) for out in (base, scaled))
+        assert len(scaled_rows) == len(base_rows) == 5
+        for r0, r1 in zip(base_rows, scaled_rows):
+            assert r1["name"] == r0["name"]
+            if r0["closed_form"]:
+                assert float(r1["closed_form"]) == float(r0["closed_form"]) * scale
+            rel = 1e-6 if r0["name"] == "t_peak_bbbar" else 1e-11
+            assert float(r1["numeric"]) / (omega * scale) == pytest.approx(
+                float(r0["numeric"]) / omega, rel=rel), r0["name"]
+
+
 @st.composite
 def plot_boundary_csvs(draw):
     """A panel, and a small CSV of the golden sweep's header and 0-5 of its rows:
@@ -480,7 +581,7 @@ def per_temperature_table(temps, omega, fmt) -> str:
     """monogamy's output with each T through the pipeline on its own."""
     rows = []
     for t in temps:
-        [res] = monogamy_grid([HawkingParams(t, omega)])
+        [res] = monogamy_grid([t], omega)
         ok = all(abs(r) <= MONOGAMY_TOL for r in res.applicable)
         rows.append({"temperature": t, "threshold": monogamy_threshold(omega),
                      "r1": res.r1, "r2": res.r2, "r3": res.r3, "r4": res.r4,
@@ -854,9 +955,9 @@ class TestPlot:
 
 # For each selfcheck check, a stand-in that makes its oracle, pipeline or
 # residuals NaN: (module, attribute, replacement).
-def nan_pipeline_columns(params):
+def nan_pipeline_columns(x):
     return {pair: dataclasses.replace(col, concurrence=np.full_like(col.concurrence, math.nan))
-            for pair, col in pipeline_columns(params).items()}
+            for pair, col in pipeline_columns(x).items()}
 
 
 NAN_PATCHES = {
@@ -865,8 +966,8 @@ NAN_PATCHES = {
                              lambda d, direction: math.nan),
     "check_pipeline_equivalence": (selfcheck, "pipeline_columns", nan_pipeline_columns),
     "check_monogamy": (selfcheck, "monogamy_grid",
-                       lambda params: [MonogamyResiduals(r1=math.nan, r2=0.0, r3=None, r4=None)
-                                       for _ in params]),
+                       lambda temps, omega: [MonogamyResiduals(r1=math.nan, r2=0.0, r3=None,
+                                                               r4=None) for _ in temps]),
 }
 
 

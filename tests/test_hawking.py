@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import swapped
 from hawksteer import hawking
 from hawksteer.hawking import (
     PAIRS,
     HawkingAmplitudes,
     HawkingParams,
-    amplitudes,
     amplitudes_at,
     closed_form_ent,
     closed_form_entropy,
@@ -40,29 +40,29 @@ SQRT3 = math.sqrt(3.0)
 
 class TestAmplitudes:
     def test_high_temperature_limit(self):
-        a = amplitudes(HawkingParams(1e12, 1.0))
+        a = amplitudes_at(1e-12)
         assert a.c_amp ** 2 == pytest.approx(0.5, abs=1e-10)
         assert a.s_amp ** 2 == pytest.approx(0.5, abs=1e-10)
 
     def test_low_temperature_no_overflow(self):
         # omega/T = 800 would overflow exp(x); the small amplitude must
         # just underflow smoothly instead.
-        a = amplitudes(HawkingParams(1.0 / 800.0, 1.0))
+        a = amplitudes_at(800.0)
         assert a.c_amp == pytest.approx(1.0, abs=1e-15)
         assert 0.0 < a.s_amp < 1e-80
 
     def test_unit_ratio(self):
-        a = amplitudes(HawkingParams(1.0, 1.0))
+        a = amplitudes_at(1.0)
         assert a.c_amp ** 2 == pytest.approx(1.0 / (math.exp(-1.0) + 1.0), abs=1e-15)
         assert a.c_amp ** 2 == pytest.approx(0.731059, abs=1e-6)
 
     def test_normalization(self):
         for t in np.geomspace(1e-3, 1e4, 50):
-            a = amplitudes(HawkingParams(t, 1.0))
+            a = amplitudes_at(1.0 / t)
             assert a.c_amp ** 2 + a.s_amp ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_scale_invariance(self):
-        assert amplitudes(HawkingParams(2.0, 1.0)) == amplitudes(HawkingParams(6.0, 3.0))
+        assert HawkingParams(2.0, 1.0).x == HawkingParams(6.0, 3.0).x == 0.5
 
     def test_domain_errors(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
@@ -74,7 +74,7 @@ class TestAmplitudes:
 
 class TestTripartiteState:
     def test_structure(self):
-        a = amplitudes(HawkingParams(1.0, 1.0))
+        a = amplitudes_at(1.0)
         m = tripartite_states(a).matrix
         assert m[0, 6].real == pytest.approx(a.c_amp / 2, abs=1e-15)
         assert m[3, 6].real == pytest.approx(a.s_amp / 2, abs=1e-15)
@@ -82,7 +82,7 @@ class TestTripartiteState:
 
     def test_purity(self):
         for t in (0.2, 1.0, 50.0):
-            m = tripartite_states(amplitudes(HawkingParams(t, 1.0))).matrix
+            m = tripartite_states(amplitudes_at(1.0 / t)).matrix
             assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_limit_is_exact(self):
@@ -101,7 +101,7 @@ class TestTripartiteState:
 
     def test_shared_matrix_is_read_only(self):
         # The memo shares one temperature's reductions: a tuple of frozen states.
-        shared = reductions_at(amplitudes(HawkingParams(0.7, 1.0)))
+        shared = reductions_at(amplitudes_at(1.0 / 0.7))
         assert type(shared) is tuple and len(shared) == len(PAIRS)
         with pytest.raises(dataclasses.FrozenInstanceError):
             shared[0].p11 = 0.0
@@ -122,7 +122,7 @@ class TestTripartiteState:
                 assert np.array_equal(report(*key), fresh[key]), key
 
     def test_memo_stays_bounded(self):
-        first = reductions_at(amplitudes(HawkingParams(0.3, 1.0)))
+        first = reductions_at(amplitudes_at(1.0 / 0.3))
         gone = weakref.ref(first[0])
         del first
         for t in np.geomspace(1.0, 1e3, 200):
@@ -132,6 +132,52 @@ class TestTripartiteState:
         assert info.maxsize is not None and info.currsize <= info.maxsize
         gc.collect()
         assert gone() is None
+
+
+def jordan_wigner(n: int = 3) -> list[np.ndarray]:
+    """Annihilation operators of n fermionic modes as 2^n x 2^n matrices, mode 0
+    the high bit: a_j = Z x ... x Z x |0><1| x I x ... x I."""
+    z, lower, one = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)
+    return [functools.reduce(np.kron, [z] * j + [lower] + [one] * (n - j - 1))
+            for j in range(n)]
+
+
+def bogoliubov_states(x: np.ndarray) -> np.ndarray:
+    """The three-mode state as an (N, 8, 8) stack, built from operators alone.
+
+    U(r) = exp(r (b+ c+ - c b)) on Bob's mode b and anti-Bob's mode c, with
+    tan r = exp(-x/2), applied to (|0_A 0_K> + |1_A 1_K>)/sqrt 2 with the Kruskal
+    excitation in b: (|000> + |110>)/sqrt 2.  The generator's eigh is taken once.
+    """
+    _, b, c = jordan_wigner()
+    lam, v = np.linalg.eigh(1j * (b.T @ c.T - c @ b))  # U(r) = exp(-i r G)
+    r = np.arctan(np.exp(-0.5 * x))
+    u = (v * np.exp(-1j * r[:, None, None] * lam)) @ v.conj().T
+    psi0 = np.zeros(8)
+    psi0[[0b000, 0b110]] = 1.0 / math.sqrt(2.0)
+    psi = u @ psi0
+    return psi[:, :, None] * psi[:, None, :].conj()
+
+
+class TestThreeModeOracle:
+    """tripartite_states against the Bogoliubov transform of the Kruskal state."""
+
+    def test_jordan_wigner_anticommutation(self):
+        ops = jordan_wigner()
+        for i, a in enumerate(ops):
+            for j, b in enumerate(ops):
+                assert np.array_equal(a @ b.T + b.T @ a, np.eye(8) * (i == j))
+                assert np.array_equal(a @ b + b @ a, np.zeros((8, 8)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-320.0, 300.0), max_size=64))
+    def test_matches_bogoliubov_state(self, log_ratios):
+        # T / omega log-uniform in [1e-320, 1e300] (x = inf past 1e-308), with
+        # x = inf (r = 0, the frozen limit) and x = 0 (r = pi / 4) always in.
+        x = np.array([math.inf, 0.0, *(1.0 / 10.0 ** u for u in log_ratios)])
+        got = tripartite_states(amplitudes_at(x)).matrix
+        want = bogoliubov_states(x)
+        assert np.abs(got - want).max() <= PIPELINE_TOL
 
 
 class TestClosedFormVsPipeline:
@@ -169,7 +215,7 @@ class TestColumnarKernel:
     def test_columns_equal_float_kernel_bitwise(self, log_ratios):
         ratios = [10.0 ** u for u in log_ratios]  # T / omega, log-uniform
         cols = amplitudes_at(1.0 / np.array(ratios))
-        amps = [amplitudes(HawkingParams(r, 1.0)) for r in ratios]
+        amps = [amplitudes_at(1.0 / r) for r in ratios]
         assert np.array_equal(bits(cols.c_amp), bits([a.c_amp for a in amps]))
         assert np.array_equal(bits(cols.s_amp), bits([a.s_amp for a in amps]))
         for pair in PAIRS:
@@ -261,7 +307,8 @@ class TestStackedPipeline:
         # Stack sizes drawn uniformly from 1..64, not lists' small-biased sizes.
         # T / omega log-uniform in [1e-320, 1e300].
         params = [HawkingParams(omega * 10.0 ** u, omega) for u in log_ratios]
-        columns = pipeline_columns(params)
+        temps = [p.temperature for p in params]
+        columns = pipeline_columns(np.array([p.x for p in params]))
         assert list(columns) == list(PAIRS)
         for pair in PAIRS:
             col = columns[pair]
@@ -271,8 +318,8 @@ class TestStackedPipeline:
             for i, p in enumerate(params):
                 want = pipeline_report(p, pair)
                 assert np.array_equal(bits(got[i]), bits(report_fields(want)))
-        for p, got in zip(params, monogamy_grid(params)):
-            assert repr(got) == repr(monogamy_grid([p])[0])
+        for t, got in zip(temps, monogamy_grid(temps, omega)):
+            assert repr(got) == repr(monogamy_grid([t], omega)[0])
 
     def test_grid_around_threshold(self):
         # r3 and r4 switch on just above T = omega / ln(sqrt 3).
@@ -280,16 +327,15 @@ class TestStackedPipeline:
             th = monogamy_threshold(omega)
             temps = [math.nextafter(th, 0.0), th, math.nextafter(th, math.inf),
                      *(th * np.geomspace(0.9, 1.1, 9))]
-            params = [HawkingParams(float(t), omega) for t in temps]
-            got = monogamy_grid(params)
-            assert [repr(r) for r in got] == [repr(monogamy_grid([p])[0]) for p in params]
+            got = monogamy_grid(temps, omega)
+            assert [repr(r) for r in got] == [repr(monogamy_grid([t], omega)[0]) for t in temps]
             assert [r.r3 is None for r in got] == [t <= th for t in temps]
 
     def test_empty_grid(self):
-        columns = pipeline_columns([])
+        columns = pipeline_columns(np.array([]))
         assert list(columns) == list(PAIRS)
         assert all(len(field) == 0 for col in columns.values() for field in report_fields(col))
-        assert monogamy_grid([]) == []
+        assert monogamy_grid([], 1.0) == []
 
 
 def sized_log_ratios(max_size: int = 64):
@@ -308,11 +354,12 @@ class TestPipelineVsClosedForm:
     @example([-320.0, -5.0, -3.2, 0.0, 300.0], 0.37)
     def test_within_pipeline_tol(self, log_ratios, omega):
         params = [HawkingParams(omega * 10.0 ** u, omega) for u in log_ratios]
-        columns = pipeline_columns(params)
+        x = np.array([p.x for p in params])
+        columns = pipeline_columns(x)
         # Temperature by temperature, so the three pairs share remembered reductions.
         per_state = dict(zip(PAIRS, zip(*([pipeline_report(p, pair) for pair in PAIRS]
                                           for p in params))))
-        closed = hawking.amplitudes_grid(params)
+        closed = amplitudes_at(x)
         for pair in PAIRS:
             want = closed_form_report_from_amplitudes(closed, pair)
             for half, fields in (("entropy", ENTROPY_FIELDS), ("ent", ENT_FIELDS)):
@@ -337,7 +384,7 @@ class TestMonogamyAroundThreshold:
         temps = [math.nextafter(th, 0.0), th, math.nextafter(th, math.inf),
                  *(th * 10.0 ** u for u in log_factors)]
         rnd.shuffle(temps)
-        residuals = monogamy_grid([HawkingParams(t, omega) for t in temps])
+        residuals = monogamy_grid(temps, omega)
         for t, r in zip(temps, residuals):
             assert (r.r3 is None, r.r4 is None) == (t <= th, t <= th), t
             assert len(r.applicable) == (2 if t <= th else 4)
@@ -357,19 +404,19 @@ class TestExchangeSymmetry:
     @given(st.floats(-320.0, 300.0))
     def test_reversed_kept_order_swaps_directions(self, log_ratio):
         # T / omega log-uniform in [1e-320, 1e300], through the pipeline's gather.
-        a = amplitudes(HawkingParams(10.0 ** log_ratio, 1.0))
+        a = amplitudes_at(1.0 / 10.0 ** log_ratio)
         kept = [hawking._KEPT[pair] for pair in PAIRS]
         states = partial_traces(tripartite_states(HawkingAmplitudes(
             np.array([a.c_amp]), np.array([a.s_amp]))), *kept, *(k[::-1] for k in kept))
         for pair, fwd, rev in zip(PAIRS, states[:3], states[3:]):
-            assert rev == fwd.swapped(), pair
+            assert rev == swapped(fwd), pair
             ab, ba = directional_bits(fwd)
             rev_ab, rev_ba = directional_bits(rev)
             assert np.array_equal(ab, rev_ba) and np.array_equal(ba, rev_ab), pair
             # The closed-form reduction, exchanged, swaps the same way.
             closed = reduced_xstate(a, pair)
             ab, ba = directional_bits(closed)
-            rev_ab, rev_ba = directional_bits(closed.swapped())
+            rev_ab, rev_ba = directional_bits(swapped(closed))
             assert np.array_equal(ab, rev_ba) and np.array_equal(ba, rev_ab), pair
 
 
@@ -544,18 +591,18 @@ class TestEntropicBirthsExact:
 
 class TestMonogamy:
     def test_residuals_tiny_at_unit_temperature(self):
-        [r] = monogamy_grid([HawkingParams(1.0, 1.0)])
+        [r] = monogamy_grid([1.0], 1.0)
         assert r.r3 is None and r.r4 is None  # T below omega/ln(sqrt 3)
         for v in r.applicable:
             assert abs(v) <= 1e-12
 
     def test_low_temperature_not_applicable(self):
-        [r] = monogamy_grid([HawkingParams(0.1, 1.0)])
+        [r] = monogamy_grid([0.1], 1.0)
         assert r.r3 is None and r.r4 is None
         assert abs(r.r1) <= 1e-12 and abs(r.r2) <= 1e-12
 
     def test_high_temperature_all_four(self):
-        [r] = monogamy_grid([HawkingParams(100.0, 1.0)])
+        [r] = monogamy_grid([100.0], 1.0)
         assert len(r.applicable) == 4
         for v in r.applicable:
             assert abs(v) <= 1e-12
@@ -564,8 +611,7 @@ class TestMonogamy:
         assert monogamy_threshold(1.0) == pytest.approx(1.0 / math.log(SQRT3), abs=1e-15)
 
     def test_grid(self):
-        params = [HawkingParams(float(t), 1.0) for t in np.geomspace(1e-2, 1e4, 50)]
-        for r in monogamy_grid(params):
+        for r in monogamy_grid(np.geomspace(1e-2, 1e4, 50), 1.0):
             for v in r.applicable:
                 assert abs(v) <= 1e-12
 

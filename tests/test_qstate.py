@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import swapped
 from hawksteer import qstate
-from hawksteer.hawking import (
-    HawkingParams,
-    amplitudes,
-    amplitudes_at,
-    reduced_xstate,
-    tripartite_states,
-)
+from hawksteer.hawking import amplitudes_at, reduced_xstate, tripartite_states
 from hawksteer.qstate import (
     MODES,
     DenseState,
@@ -168,14 +163,14 @@ class TestPartialTrace:
     def test_reductions_match_closed_forms(self, kept, pair):
         # 100-point grid: every reduction matches its analytic matrix.
         for t in np.geomspace(0.05, 100.0, 100):
-            a = amplitudes(HawkingParams(t, 1.0))
+            a = amplitudes_at(1.0 / t)
             got = one_trace(tripartite_states(a), kept)
             want = embed_dense(reduced_xstate(a, pair)).matrix
             assert np.max(np.abs(embed_dense(got).matrix - want)) <= 1e-12
 
     def test_trace_and_psd_preserved(self):
         for t in (0.3, 1.0, 7.0):
-            rho = tripartite_states(amplitudes(HawkingParams(t, 1.0)))
+            rho = tripartite_states(amplitudes_at(1.0 / t))
             for kept in (("A", "B"), ("A", "Bbar"), ("B", "Bbar")):
                 red = one_trace(rho, kept)
                 assert sum(red.populations) == pytest.approx(1.0, abs=1e-12)
@@ -183,13 +178,13 @@ class TestPartialTrace:
                 assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
     def test_kept_order_swaps_qubits(self):
-        rho = tripartite_states(amplitudes(HawkingParams(2.0, 1.0)))
+        rho = tripartite_states(amplitudes_at(0.5))
         ab = one_trace(rho, ("A", "B"))
         ba = one_trace(rho, ("B", "A"))
-        assert ba == ab.swapped()
+        assert ba == swapped(ab)
 
     def test_rejects_bad_labels(self):
-        rho = tripartite_states(amplitudes(HawkingParams(1.0, 1.0)))
+        rho = tripartite_states(amplitudes_at(1.0))
         with pytest.raises(ValueError):
             one_trace(rho, ("A", "A"))
         with pytest.raises(ValueError):
@@ -249,7 +244,7 @@ def valid_stack(d: int, n: int) -> list[np.ndarray]:
         return [embed_dense(s).matrix for s in
                 (BELL, MIXED, TwoQubitXState(0.4, 0.1, 0.2, 0.3, c14=0.2, c23=-0.1))
                 ] * (n // 3 + 1)
-    return [tripartite_states(amplitudes(HawkingParams(t, 1.0))).matrix
+    return [tripartite_states(amplitudes_at(1.0 / t)).matrix
             for t in np.geomspace(0.1, 10.0, n)]
 
 
@@ -309,7 +304,7 @@ class TestDenseStack:
         with pytest.raises(InvalidStateError, match="dim != 8"):
             partial_traces(stack, ("A", "B"))
         with pytest.raises(InvalidStateError, match="dim != 8"):
-            partial_traces(tripartite_states(amplitudes(HawkingParams(1.0, 1.0))), ("A", "B"))
+            partial_traces(tripartite_states(amplitudes_at(1.0)), ("A", "B"))
 
 
 class TestStackedReduction:

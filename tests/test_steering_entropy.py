@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import swapped
 from hawksteer import steering_entropy
-from hawksteer.hawking import PAIRS, HawkingParams, amplitudes, reductions_at
+from hawksteer.hawking import PAIRS, amplitudes_at, reductions_at
 from hawksteer.qstate import TwoQubitXState, XStateColumns, bloch_coefficients, embed_dense
 from hawksteer.selfcheck import random_xstates, reduced_state_population
 from hawksteer.steering_ent import concurrence_xstate, steerability_ent
@@ -179,7 +180,7 @@ class TestSteerability:
         # Exchanging the qubits maps (p, q) -> (q, p), i_ab <-> i_ba and s_ab <-> s_ba exactly.
         for s in random_xstates(100):
             a = steerability_entropy(s)
-            b = steerability_entropy(s.swapped())
+            b = steerability_entropy(swapped(s))
             assert a.i_ab == b.i_ba
             assert a.i_ba == b.i_ab
             assert a.s_ab == b.s_ba
@@ -241,7 +242,7 @@ def xstates():
     # T / omega log-uniform in [1e-320, 1e300]; below ~1e-308, omega / T is inf,
     # the frozen limit.
     reduction = st.builds(
-        lambda u, k: reductions_at(amplitudes(HawkingParams(10.0 ** u, 1.0)))[k],
+        lambda u, k: reductions_at(amplitudes_at(1.0 / 10.0 ** u))[k],
         st.floats(-320.0, 300.0), st.integers(0, len(PAIRS) - 1))
     return st.one_of(st.builds(build, pops, zeros, frac, frac), reduction)
 
@@ -339,7 +340,7 @@ class TestColumnMeasures:
     def test_random_rank_deficient_boundary_and_reductions(self, states):
         assert_column_equals_per_state(states)
         # The swapped states measure the other direction.
-        assert_column_equals_per_state([s.swapped() for s in states])
+        assert_column_equals_per_state([swapped(s) for s in states])
 
     def test_one_state_and_none(self):
         # MIXED clamps its concurrence and both witness values to 0.0.
@@ -348,7 +349,7 @@ class TestColumnMeasures:
 
     def test_selfcheck_states(self):
         states = random_xstates(1000) + reduced_state_population()
-        assert_column_equals_per_state(states + [s.swapped() for s in states])
+        assert_column_equals_per_state(states + [swapped(s) for s in states])
 
     def test_nan_and_signed_zero_fields(self):
         # No validated state has them, but a column keeps one state's
