@@ -33,6 +33,7 @@ MODES = ("A", "B", "Bbar")
 # and anti-diagonal), and p11, p22, p33, p44, c14, c23 in TwoQubitXState order.
 _OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
 _X_FIELDS = np.array([0, 5, 10, 15, 3, 6])
+_POPULATIONS = ("p11", "p22", "p33", "p44")
 
 
 class InvalidStateError(ValueError):
@@ -60,24 +61,29 @@ class TwoQubitXState:
     c23: float
 
     def __post_init__(self):
-        for name in ("p11", "p22", "p33", "p44"):
-            v = getattr(self, name)
+        p = [self.p11, self.p22, self.p33, self.p44]
+        for k, v in enumerate(p):
             if -POP_CLAMP <= v < 0.0:
-                object.__setattr__(self, name, 0.0)
-        # Each test is written "not ok" so that a NaN fails it.
-        diags = []
-        tr = self.p11 + self.p22 + self.p33 + self.p44
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            diags.append(f"trace != 1: residual {tr - 1.0:.3e}")
-        for name, v in zip(("p11", "p22", "p33", "p44"), self.populations):
-            if not v >= -POP_CLAMP:
-                diags.append(f"negative population {name}: {v:.3e}")
-        for c, a, b in (("c14", "p11", "p44"), ("c23", "p22", "p33")):
-            v = getattr(self, c)
-            lim = math.sqrt(max(getattr(self, a), 0.0) * max(getattr(self, b), 0.0))
-            if not abs(v) <= lim + POP_CLAMP:
-                diags.append(f"PSD block violated: |{c}| > sqrt({a}*{b}) by {abs(v) - lim:.3e}")
-        if diags:
+                p[k] = 0.0
+                object.__setattr__(self, _POPULATIONS[k], 0.0)
+        p11, p22, p33, p44 = p
+        c14, c23 = self.c14, self.c23
+        tr = p11 + p22 + p33 + p44
+        # max(v, 0.0), NaN kept, in each PSD limit.
+        lim14 = math.sqrt((0.0 if 0.0 > p11 else p11) * (0.0 if 0.0 > p44 else p44))
+        lim23 = math.sqrt((0.0 if 0.0 > p22 else p22) * (0.0 if 0.0 > p33 else p33))
+        # Each test is written "ok" so that a NaN fails it; messages only on failure.
+        ok = (abs(tr - 1.0) <= TRACE_TOL, p11 >= -POP_CLAMP, p22 >= -POP_CLAMP,
+              p33 >= -POP_CLAMP, p44 >= -POP_CLAMP,
+              abs(c14) <= lim14 + POP_CLAMP, abs(c23) <= lim23 + POP_CLAMP)
+        if not all(ok):
+            diags = [] if ok[0] else [f"trace != 1: residual {tr - 1.0:.3e}"]
+            diags += [f"negative population {n}: {v:.3e}"
+                      for n, v, good in zip(_POPULATIONS, p, ok[1:5]) if not good]
+            diags += [f"PSD block violated: |{c}| > sqrt({ab}) by {abs(v) - lim:.3e}"
+                      for c, ab, v, lim, good in (("c14", "p11*p44", c14, lim14, ok[5]),
+                                                  ("c23", "p22*p33", c23, lim23, ok[6]))
+                      if not good]
             raise InvalidStateError("; ".join(diags))
 
     @property
@@ -141,11 +147,11 @@ class DenseState:
             raise InvalidStateError("invalid input state: non-finite entry")
         if abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) > HERM_TOL:
             raise InvalidStateError("invalid input state: not Hermitian")
+        # |tr - 1| bounds both parts, so the exact two-part test runs only above TRACE_TOL.
         tr = m.trace(axis1=-2, axis2=-1)
-        off_re, off_im = abs(tr.real - 1.0), abs(tr.imag)
-        if stacked:
-            off_re, off_im = off_re.max(initial=0.0), off_im.max(initial=0.0)
-        if off_re > TRACE_TOL or off_im > TRACE_TOL:
+        off = abs(tr - 1.0)
+        if (off.max(initial=0.0) if stacked else off) > TRACE_TOL and (
+                (abs(tr.real - 1.0) > TRACE_TOL).any() or (abs(tr.imag) > TRACE_TOL).any()):
             raise InvalidStateError("invalid input state: trace != 1")
         lowest = np.linalg.eigvalsh(m)[..., 0]
         if (lowest.min(initial=0.0) if stacked else lowest) < -PSD_TOL:
@@ -188,7 +194,7 @@ def embed_dense(s: TwoQubitXState) -> DenseState:
 
 
 def _xstates(m: np.ndarray) -> list[TwoQubitXState]:
-    """The X-states of a validated (N, 4, 4) stack, or the first matrix's non-X error."""
+    """The X-states, with float fields, of a validated (N, 4, 4) stack, or its first non-X error."""
     flat = m.reshape(-1, 16)
     off, imag = abs(flat[:, _OFF_X]), abs(flat.imag)
     if off.max(initial=0.0) > XPATTERN_TOL or imag.max(initial=0.0) > XPATTERN_TOL:
@@ -197,7 +203,7 @@ def _xstates(m: np.ndarray) -> list[TwoQubitXState]:
         if worst > XPATTERN_TOL:
             raise InvalidStateError(f"non-X reduction: off-pattern entry {worst:.3e}")
         raise InvalidStateError("non-X reduction: complex entry on pattern")
-    return [TwoQubitXState(*fields) for fields in flat.real[:, _X_FIELDS]]
+    return [TwoQubitXState(*fields) for fields in flat.real[:, _X_FIELDS].tolist()]
 
 
 @functools.cache

@@ -1004,3 +1004,72 @@ class TestSelfcheck:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2 and out[1] == "0/1 checks passed", out
         assert out[0].startswith("[FAIL] ") and out[0].endswith(" nan"), out
+
+
+def run_bytes(argv):
+    """(exit status, stdout bytes, stderr bytes) of main(argv) in process."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="") for _ in "12")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: -h, or a value it refuses
+            code = exc.code
+    out.flush()
+    err.flush()
+    return code, out.buffer.getvalue(), err.buffer.getvalue()
+
+
+class TestParserReuse:
+    """main() builds its argparse tree on its first call and reuses it."""
+
+    # (argv, whether cli.render_table is patched for the call)
+    SEQUENCE = (
+        (["sweep", "--t-min", "0.1", "--t-max", "1", "--steps", "many"], False),
+        (["sweep", "-h"], False),
+        (["critical", "--omega", "0.37", "--format", "json"], False),
+        (["critical", "--omega", "0.37"], False),
+        (["monogamy", "--t-values", "0.5,1,2"], True),
+    )
+
+    def run_sequence(self, monkeypatch, fresh: bool):
+        monkeypatch.setattr(cli, "_parser", None)
+        results = []
+        for argv, patched in self.SEQUENCE:
+            with monkeypatch.context() as m:
+                if fresh:
+                    m.setattr(cli, "_parser", None)
+                if patched:
+                    m.setattr(cli, "render_table",
+                              lambda *args, **kwargs: "patched\n" + render_table(*args, **kwargs))
+                results.append(run_bytes(argv))
+        return results
+
+    def test_same_bytes_as_a_new_parser(self, monkeypatch):
+        reused = self.run_sequence(monkeypatch, fresh=False)
+        assert reused == self.run_sequence(monkeypatch, fresh=True)
+        (code, _, err), (_, usage, _), (_, as_json, _), (_, as_csv, _), (_, table, _) = reused
+        assert [r[0] for r in reused] == [2, 0, 0, 0, 0]
+        assert b"argument --steps: invalid int value: 'many'" in err
+        assert usage.startswith(b"usage: hawksteer sweep ")
+        assert as_json.startswith(b"[") and as_csv.startswith(b"name,closed_form,")
+        assert table.startswith(b"patched\ntemperature,")
+
+    def test_built_once_per_process(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (["critical"], ["critical", "--format", "json"], ["sweep", "-h"],
+                     ["monogamy", "--t-values", "1"]):
+            assert run_bytes(argv)[0] == 0
+        assert len(built) == 1
+
+    def test_not_built_at_import(self):
+        out = subprocess.run([sys.executable, "-c", "import hawksteer.cli as c; print(c._parser)"],
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "None\n"

@@ -1,17 +1,20 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import swapped
+from conftest import reference_dense_check, reference_xstate_fields, swapped
 from hawksteer import qstate
 from hawksteer.hawking import amplitudes_at, reduced_xstate, tripartite_states
 from hawksteer.qstate import (
     MODES,
+    POP_CLAMP,
+    TRACE_TOL,
     DenseState,
     InvalidStateError,
     TwoQubitXState,
@@ -43,8 +46,68 @@ def valid_xstates():
     return st.builds(build, st.tuples(pop, pop, pop, pop), frac, frac)
 
 
+def ulps(x: float) -> tuple[float, float, float]:
+    """x and its two neighbouring floats."""
+    return math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)
+
+
+EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, *ulps(-POP_CLAMP), POP_CLAMP, 0.5, 1.0)
+# p11 + p22 + p33 + p44 is exact for (t - 0.5, two of ZEROS, 0.5) with t near 1.
+TRACES = tuple(v for t in (1.0 - TRACE_TOL, 1.0, 1.0 + TRACE_TOL) for v in ulps(t))
+ZEROS = (0.0, -0.0, -POP_CLAMP, math.nextafter(-POP_CLAMP, 0.0))
+
+
+@st.composite
+def xstate_fields(draw):
+    """Six X-state fields at the validator's edges: NaN, +-inf, +-0.0, -POP_CLAMP and its
+    neighbours, traces within an ulp of 1 +- TRACE_TOL, |c| within an ulp of its limit."""
+    value = st.one_of(st.sampled_from(EDGES), st.floats(-1.5, 1.5), st.floats())
+    shape = draw(st.sampled_from(("free", "trace", "exact trace")))
+    if shape == "exact trace":
+        p22, p33 = draw(st.sampled_from(ZEROS)), draw(st.sampled_from(ZEROS))
+        p11, p44 = draw(st.sampled_from(TRACES)) - 0.5, 0.5
+    else:
+        p11, p22, p33 = draw(value), draw(value), draw(value)
+        p44 = draw(st.sampled_from(TRACES)) - (p11 + p22 + p33) if shape == "trace" \
+            else draw(value)
+
+    def coherence(a, b):
+        clamped = [0.0 if -POP_CLAMP <= v < 0.0 else v for v in (a, b)]
+        edge = math.sqrt(max(clamped[0], 0.0) * max(clamped[1], 0.0)) + POP_CLAMP
+        return draw(st.one_of(value, st.sampled_from([s * v for v in ulps(edge)
+                                                      for s in (1.0, -1.0)])))
+
+    return p11, p22, p33, p44, coherence(p11, p44), coherence(p22, p33)
+
+
+def outcome(build, *args):
+    """("ok", result) of build(*args), or the type and message of the InvalidStateError or
+    numpy RuntimeWarning (raised as an error) that stopped it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", build(*args)
+        except (InvalidStateError, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc)
+
+
 class TestValidation:
     """The X-state invariant is checked once, when the state is built."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(xstate_fields(), st.booleans())
+    # |c14| = inf within its limit (p11 = inf): no inf - inf, so no RuntimeWarning, for it.
+    @example((math.inf, 0.0, 0.0, 0.5, math.inf, 0.0), True)
+    def test_matches_reference_validator(self, fields, numpy_scalars):
+        if numpy_scalars:
+            fields = tuple(map(np.float64, fields))
+
+        def stored(*args):
+            return [(type(v), repr(v)) for v in dataclasses.astuple(TwoQubitXState(*args))]
+
+        want = outcome(lambda *args: [(type(v), repr(v)) for v in reference_xstate_fields(*args)],
+                       *fields)
+        assert outcome(stored, *fields) == want
 
     def test_bell_ok(self):
         assert TwoQubitXState(*BELL.populations, c14=BELL.c14, c23=BELL.c23) == BELL
@@ -141,7 +204,9 @@ class TestEmbedExtract:
     @given(valid_xstates())
     @settings(max_examples=100, deadline=None)
     def test_round_trip_exact(self, s):
-        assert qstate._xstates(embed_dense(s).matrix[None]) == [s]
+        xs = qstate._xstates(embed_dense(s).matrix[None])
+        assert xs == [s]
+        assert all(type(v) is float for v in dataclasses.astuple(xs[0]))
 
     def test_extract_rejects_off_pattern(self):
         m = np.eye(4) / 4 + 0.0j
@@ -225,6 +290,25 @@ class TestDenseState:
         m = np.diag([0.6, 0.6, -0.1, -0.1])
         with pytest.raises(InvalidStateError, match="eigenvalue"):
             DenseState(m)
+
+    @settings(max_examples=800, deadline=None)
+    @given(st.sampled_from((2, 4, 8)), st.sampled_from((None, 1, 2, 5)), st.data())
+    def test_trace_test_matches_two_part_reference(self, d, n, data):
+        # Diagonal states whose trace is off 1 by about TRACE_TOL in the real part, the
+        # imaginary part (spread over the diagonal: Hermitian within HERM_TOL) or both.
+        near = st.one_of(st.sampled_from((0.0, TRACE_TOL, -TRACE_TOL)),
+                         st.floats(TRACE_TOL - 1e-15, TRACE_TOL + 1e-15),
+                         st.floats(-TRACE_TOL - 1e-15, -TRACE_TOL + 1e-15),
+                         st.floats(-1.5 * TRACE_TOL, 1.5 * TRACE_TOL))
+
+        def matrix():
+            diag = np.full(d, 1.0 / d, dtype=complex)
+            diag[0] += data.draw(near)
+            diag += 1j * data.draw(near) / d
+            return np.diag(diag)
+
+        m = matrix() if n is None else np.array([matrix() for _ in range(n)])
+        assert outcome(lambda x: DenseState(x) and None, m) == outcome(reference_dense_check, m)
 
 
 def bad_matrices(d: int) -> list[tuple[str, np.ndarray]]:
